@@ -162,11 +162,11 @@ impl RankMatrices {
 
     /// Builds the node's structures from the global matrix and the plan.
     ///
-    /// Only nonzeros in `rank`'s row block are consulted — located by a
-    /// binary search on the row-sorted triplet array, so the per-rank cost is
-    /// `O(nnz_rank)`, not a full-matrix scan (building all `p` ranks is
-    /// `O(nnz)` total, not `O(p * nnz)`). Row indices are rebased to the
-    /// block; columns stay global.
+    /// Only nonzeros in `rank`'s row block are consulted
+    /// ([`CooMatrix::row_block`]), so the per-rank cost is `O(nnz_rank)`,
+    /// not a full-matrix scan (building all `p` ranks is `O(nnz)` total, not
+    /// `O(p * nnz)`). Row indices are rebased to the block; columns stay
+    /// global.
     ///
     /// # Panics
     ///
@@ -179,10 +179,7 @@ impl RankMatrices {
         panel_height: usize,
     ) -> RankMatrices {
         let rows = plan.layout().row_range(rank);
-        let all = a.triplets();
-        let lo = all.partition_point(|t| t.row < rows.start);
-        let hi = lo + all[lo..].partition_point(|t| t.row < rows.end);
-        RankMatrices::build_from_rows(&all[lo..hi], plan, rank, panel_height)
+        RankMatrices::build_from_rows(a.row_block(rows), plan, rank, panel_height)
     }
 
     /// Builds the node's structures from a row-sorted slice holding exactly
@@ -209,16 +206,21 @@ impl RankMatrices {
             "matrix dimensions exceed the u32 small-index limit of the compact rank structures"
         );
         let rows = layout.row_range(rank);
+        // Dense per-rank tables indexed by stripe: each stripe's class and
+        // its async bucket.
+        let mut class_of: Vec<Option<StripeClass>> = vec![None; layout.num_stripes()];
+        for &(stripe, class) in &plan.classification(rank).classes {
+            class_of[stripe] = Some(class);
+        }
+        let mut async_buckets: Vec<Vec<SmallTriplet>> = vec![Vec::new(); layout.num_stripes()];
         let mut sync_entries: Vec<SmallTriplet> = Vec::new();
-        let mut async_buckets: std::collections::BTreeMap<usize, Vec<SmallTriplet>> =
-            std::collections::BTreeMap::new();
         for t in rank_triplets {
             debug_assert!(rows.contains(&t.row), "entry outside the rank's row block");
             let stripe = layout.stripe_of_col(t.col);
             let local = SmallTriplet::new(t.row - rows.start, t.col, t.val);
-            match plan.class_of(rank, stripe).expect("every nonzero's stripe is classified") {
+            match class_of[stripe].expect("every nonzero's stripe is classified") {
                 StripeClass::Sync | StripeClass::LocalInput => sync_entries.push(local),
-                StripeClass::Async => async_buckets.entry(stripe).or_default().push(local),
+                StripeClass::Async => async_buckets[stripe].push(local),
             }
         }
         // The input slice is row-major, so sync_entries already are; build
@@ -239,6 +241,8 @@ impl RankMatrices {
 
         let stripes = async_buckets
             .into_iter()
+            .enumerate()
+            .filter(|(_, entries)| !entries.is_empty())
             .map(|(stripe, mut entries)| {
                 // The bucket preserves a.iter()'s row-major order; snapshot it
                 // before the column-major sort instead of re-sorting later.

@@ -552,20 +552,14 @@ pub(crate) fn prepare_plan_inner(
 }
 
 /// Bytes of every rank's own operands: its `A` partition, `B` block, and `C`
-/// block — computed for all ranks in one pass over the matrix (nonzeros are
-/// bucketed by row owner) instead of one full scan per rank.
+/// block — each rank's nonzero count is the length of its row block, so no
+/// pass over the matrix is needed.
 fn base_bytes_all_ranks(problem: &Problem) -> Vec<usize> {
     let k = problem.k();
     let layout = &problem.layout;
-    let mut nnz_local = vec![0usize; layout.nodes()];
-    for (r, _, _) in problem.a.iter() {
-        nnz_local[layout.owner_of_row(r)] += 1;
-    }
-    nnz_local
-        .into_iter()
-        .enumerate()
-        .map(|(rank, nnz)| {
-            nnz * NNZ_BYTES
+    (0..layout.nodes())
+        .map(|rank| {
+            problem.a.row_block(layout.row_range(rank)).len() * NNZ_BYTES
                 + layout.col_range(rank).len() * k * SCALAR_BYTES
                 + layout.row_range(rank).len() * k * SCALAR_BYTES
         })

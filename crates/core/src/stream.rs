@@ -353,16 +353,46 @@ struct StripeMeta {
 /// and the cost charges need without touching the file.
 struct RankStore {
     path: PathBuf,
+    /// Bytes written to `path`; any other length on disk is a damaged store.
+    bytes: usize,
     stripes: Vec<StripeMeta>,
     sync_nnz: usize,
     nonempty_panels: usize,
 }
 
+impl RankStore {
+    /// Checks that rank `rank`'s store file still holds exactly the bytes
+    /// written to it, so a short or missing store is a typed error at the
+    /// driver before execution instead of a panic inside a rank thread.
+    fn verify(&self, rank: usize) -> Result<(), RunError> {
+        let on_disk = std::fs::metadata(&self.path).map(|m| m.len()).map_err(|e| {
+            io_err(
+                &format!(
+                    "rank {rank} store {} is unreadable ({} bytes written)",
+                    self.path.display(),
+                    self.bytes
+                ),
+                e,
+            )
+        })?;
+        if on_disk != self.bytes as u64 {
+            return Err(RunError::Io {
+                context: format!(
+                    "rank {rank} store {} holds {on_disk} bytes but {} were written",
+                    self.path.display(),
+                    self.bytes
+                ),
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Serializes one rank's built structures in execution order: per async
 /// stripe (ascending) its row-major entries then its unique columns, then
-/// the sync/local entries (row-major). Returns the store handle and the
-/// bytes written.
-fn write_store(path: PathBuf, matrices: &RankMatrices) -> Result<(RankStore, usize), RunError> {
+/// the sync/local entries (row-major). Returns the store handle, which
+/// records the bytes written.
+fn write_store(path: PathBuf, matrices: &RankMatrices) -> Result<RankStore, RunError> {
     let file = File::create(&path)
         .map_err(|e| io_err(&format!("creating store {}", path.display()), e))?;
     let mut out = BufWriter::new(file);
@@ -388,13 +418,13 @@ fn write_store(path: PathBuf, matrices: &RankMatrices) -> Result<(RankStore, usi
     }
     bytes += matrices.sync_local.nnz() * SMALL_ENTRY_BYTES;
     out.flush().map_err(|e| io_err(ctx, e))?;
-    let store = RankStore {
+    Ok(RankStore {
         path,
+        bytes,
         stripes,
         sync_nnz: matrices.sync_local.nnz(),
         nonempty_panels: matrices.sync_local.num_nonempty_panels(),
-    };
-    Ok((store, bytes))
+    })
 }
 
 /// Executes Two-Face out of core on a chunked triplet source.
@@ -627,10 +657,10 @@ pub fn run_twoface_streamed(
             RankMatrices::build_from_rows(&shard, &plan, rank, options.config.row_panel_height);
         drop(shard);
         debug_rss(&format!("pass4 built rank {rank} ({} nnz)", nnz_by_rank[rank]));
-        let (store, bytes) = write_store(spill.path(format!("store.{rank}")), &matrices)?;
-        spilled_bytes += bytes;
+        let store = write_store(spill.path(format!("store.{rank}")), &matrices)?;
+        spilled_bytes += store.bytes;
         if telemetry.enabled {
-            let written = disk_bytes(&store.path, bytes);
+            let written = disk_bytes(&store.path, store.bytes);
             store_bytes += written;
             telemetry.spill_write(rank, written);
         }
@@ -642,6 +672,9 @@ pub fn run_twoface_streamed(
     debug_rss("pass4 build+store");
     // --- Pass 5: execute with per-stripe materialize → compute → drop. ---
     pass_started = Instant::now();
+    for (rank, store) in stores.iter().enumerate() {
+        store.verify(rank)?;
+    }
     let b_blocks: Vec<Arc<Vec<f64>>> =
         (0..p).map(|rank| Arc::new(generated_b_block(layout.col_range(rank), k))).collect();
     let exec = ExecOpts {
@@ -767,9 +800,9 @@ pub fn run_twoface_streamed(
 ///
 /// # Panics
 ///
-/// Panics if the store file cannot be read back — spill files are
-/// session-local, so a read failure is an environment fault, not an input
-/// condition.
+/// Panics if the store file cannot be read back. The driver checks every
+/// store's length before execution ([`RankStore::verify`]), so this is left
+/// for a file damaged while the ranks run.
 fn twoface_rank_streamed(
     ctx: &mut RankCtx,
     plan: &PartitionPlan,
@@ -971,6 +1004,40 @@ mod tests {
         let mut cursor = std::io::Cursor::new(buf);
         assert_eq!(read_wide(&mut cursor).unwrap(), wide);
         assert_eq!(read_small(&mut cursor).unwrap(), small);
+    }
+
+    #[test]
+    fn truncated_or_missing_store_is_a_typed_error() {
+        use twoface_partition::{OneDimLayout, PartitionPlan, StripeClass};
+        let a = twoface_matrix::gen::erdos_renyi(32, 32, 200, 3);
+        let plan = PartitionPlan::build_uniform(
+            &a,
+            OneDimLayout::new(32, 32, 2, 4),
+            8,
+            StripeClass::Async,
+        );
+        let spill = SpillDir::create(None).unwrap();
+        let store =
+            write_store(spill.path("store.1".into()), &RankMatrices::build(&a, &plan, 1, 4))
+                .unwrap();
+        assert!(store.bytes > 0);
+        store.verify(1).expect("an intact store verifies");
+
+        let short = store.bytes as u64 - 5;
+        std::fs::OpenOptions::new().write(true).open(&store.path).unwrap().set_len(short).unwrap();
+        let err = store.verify(1).unwrap_err();
+        let text = err.to_string();
+        assert!(matches!(err, RunError::Io { .. }), "{text}");
+        assert!(text.contains("rank 1"), "{text}");
+        assert!(text.contains(&format!("holds {short} bytes")), "{text}");
+        assert!(text.contains(&format!("{} were written", store.bytes)), "{text}");
+
+        std::fs::remove_file(&store.path).unwrap();
+        let err = store.verify(1).unwrap_err();
+        let text = err.to_string();
+        assert!(matches!(err, RunError::Io { .. }), "{text}");
+        assert!(text.contains("rank 1"), "{text}");
+        assert!(text.contains(&format!("{} bytes written", store.bytes)), "{text}");
     }
 
     #[test]

@@ -205,6 +205,19 @@ impl CooMatrix {
         }
     }
 
+    /// The entries whose rows fall in `rows` (half-open), in global
+    /// coordinates: a subslice of the row-sorted triplet array, located by
+    /// two binary searches and never copied.
+    ///
+    /// This is a node's row block under 1D partitioning (§2.2); taking every
+    /// rank's block this way costs `O(p log nnz)`, not `p` scans of the
+    /// matrix.
+    pub fn row_block(&self, rows: std::ops::Range<usize>) -> &[Triplet] {
+        let lo = self.entries.partition_point(|t| t.row < rows.start);
+        let hi = lo + self.entries[lo..].partition_point(|t| t.row < rows.end);
+        &self.entries[lo..hi]
+    }
+
     /// Extracts the submatrix of entries whose rows fall in
     /// `row_range` (half-open), re-indexed to start at row 0.
     ///
@@ -212,9 +225,8 @@ impl CooMatrix {
     /// under 1D partitioning (§2.2).
     pub fn row_slice(&self, row_range: std::ops::Range<usize>) -> CooMatrix {
         let entries: Vec<Triplet> = self
-            .entries
+            .row_block(row_range.clone())
             .iter()
-            .filter(|t| row_range.contains(&t.row))
             .map(|t| Triplet::new(t.row - row_range.start, t.col, t.val))
             .collect();
         CooMatrix { rows: row_range.len(), cols: self.cols, entries }
@@ -360,6 +372,27 @@ mod tests {
         assert_eq!(s.cols(), 4);
         let t: Vec<_> = s.iter().collect();
         assert_eq!(t, vec![(0, 1, 2.0), (1, 3, 3.0)]);
+    }
+
+    #[test]
+    fn row_blocks_match_a_filter_and_tile_the_matrix() {
+        let m = CooMatrix::from_triplets(
+            9,
+            4,
+            vec![(0, 0, 1.0), (2, 1, 2.0), (2, 3, 2.5), (3, 3, 3.0), (8, 2, 4.0)],
+        )
+        .unwrap();
+        let bounds = [0, 2, 2, 3, 7, 9];
+        let mut covered = 0;
+        for w in bounds.windows(2) {
+            let block = m.row_block(w[0]..w[1]);
+            let filtered: Vec<Triplet> =
+                m.triplets().iter().filter(|t| (w[0]..w[1]).contains(&t.row)).copied().collect();
+            assert_eq!(block, filtered.as_slice(), "rows {}..{}", w[0], w[1]);
+            covered += block.len();
+        }
+        assert_eq!(covered, m.nnz());
+        assert!(m.row_block(9..9).is_empty());
     }
 
     #[test]

@@ -145,40 +145,49 @@ impl OneDimLayout {
         self.stripes[s].0
     }
 
-    /// The stripe containing column `col`.
+    /// The stripe containing column `col`, in `O(1)`: the column's owner
+    /// comes from [`balanced_owner`], the owner's first stripe from a closed
+    /// form, and the offset within the block from one division by `W`.
+    /// Preprocessing calls this once per nonzero.
     ///
     /// # Panics
     ///
     /// Panics if `col >= cols`.
+    #[inline]
     pub fn stripe_of_col(&self, col: usize) -> usize {
         assert!(col < self.cols, "column {col} out of range");
-        // Stripes are sorted by column start; binary search the start.
-        match self.stripes.binary_search_by(|&(_, start, _)| start.cmp(&col)) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        }
+        let owner = balanced_owner(self.cols, self.p, col);
+        let block_start = balanced_range(self.cols, self.p, owner).start;
+        self.first_stripe_of_owner(owner) + (col - block_start) / self.stripe_width
     }
 
-    /// The stripes owned by `rank`, as a contiguous index range.
+    /// The stripes owned by `rank`, as a contiguous index range (empty when
+    /// the rank's column block is).
     ///
     /// # Panics
     ///
     /// Panics if `rank >= p`.
     pub fn stripes_of_owner(&self, rank: usize) -> Range<usize> {
         assert!(rank < self.p, "rank {rank} out of range");
-        let start = self.stripes.iter().position(|&(o, _, _)| o == rank);
-        match start {
-            Some(start) => {
-                let end = self.stripes[start..].iter().take_while(|&&(o, _, _)| o == rank).count();
-                start..start + end
-            }
-            None => 0..0,
-        }
+        self.first_stripe_of_owner(rank)..self.first_stripe_of_owner(rank + 1)
+    }
+
+    /// Global index of column owner `owner`'s first stripe (for `owner ==
+    /// p`, the stripe count). A block of `len` columns holds `⌈len / W⌉`
+    /// stripes, and balanced blocks come in only two lengths: the first
+    /// `cols % p` hold `cols / p + 1` columns, the rest `cols / p`.
+    #[inline]
+    fn first_stripe_of_owner(&self, owner: usize) -> usize {
+        let base = self.cols / self.p;
+        let long = owner.min(self.cols % self.p);
+        long * (base + 1).div_ceil(self.stripe_width)
+            + (owner - long) * base.div_ceil(self.stripe_width)
     }
 }
 
 /// The half-open range of the `i`-th of `p` balanced chunks of `n` items:
 /// the first `n % p` chunks get one extra item.
+#[inline]
 fn balanced_range(n: usize, p: usize, i: usize) -> Range<usize> {
     let base = n / p;
     let rem = n % p;
@@ -188,6 +197,7 @@ fn balanced_range(n: usize, p: usize, i: usize) -> Range<usize> {
 }
 
 /// The chunk index owning item `x` under [`balanced_range`] chunking.
+#[inline]
 fn balanced_owner(n: usize, p: usize, x: usize) -> usize {
     let base = n / p;
     let rem = n % p;
@@ -284,6 +294,47 @@ mod tests {
         let layout = OneDimLayout::new(40, 40, 4, 1000);
         assert_eq!(layout.num_stripes(), 4);
         assert_eq!(layout.stripe_cols(1), 10..20);
+    }
+
+    /// Reference lookup: a binary search on the stripes' column starts.
+    fn stripe_of_col_by_search(layout: &OneDimLayout, col: usize) -> usize {
+        match layout.stripes.binary_search_by(|&(_, start, _)| start.cmp(&col)) {
+            Ok(i) => i,
+            Err(i) => i - 1,
+        }
+    }
+
+    #[test]
+    fn closed_form_stripe_lookup_matches_the_search_exhaustively() {
+        let (mut empty_blocks, mut narrow_tails, mut wide_stripes) = (0, 0, 0);
+        for cols in 1..=70 {
+            for p in 1..=9 {
+                for w in 1..=12 {
+                    let layout = OneDimLayout::new(9, cols, p, w);
+                    for col in 0..cols {
+                        assert_eq!(
+                            layout.stripe_of_col(col),
+                            stripe_of_col_by_search(&layout, col),
+                            "cols={cols} p={p} W={w} col={col}"
+                        );
+                    }
+                    let mut next = 0;
+                    for rank in 0..p {
+                        let owned = layout.stripes_of_owner(rank);
+                        assert_eq!(owned.start, next, "cols={cols} p={p} W={w} rank={rank}");
+                        assert!(owned.clone().all(|s| layout.stripe_owner(s) == rank));
+                        next = owned.end;
+                        let block = layout.col_range(rank).len();
+                        empty_blocks += usize::from(block == 0);
+                        narrow_tails += usize::from(!block.is_multiple_of(w) && block > w);
+                        wide_stripes += usize::from(block > 0 && w > block);
+                    }
+                    assert_eq!(next, layout.num_stripes(), "cols={cols} p={p} W={w}");
+                }
+            }
+        }
+        // The grid reaches every shape the closed form has to get right.
+        assert!(empty_blocks > 0 && narrow_tails > 0 && wide_stripes > 0);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 
 mod layout;
 mod model;
+mod par;
 mod plan;
 mod regress;
 mod stripe;

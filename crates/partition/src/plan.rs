@@ -5,6 +5,7 @@
 //! of `B` ... a list of nodes that are destinations of the collective
 //! transfer of that stripe", §5.1).
 
+use crate::par::par_map_indexed;
 use crate::{
     classify_node_fanout_aware, enforce_memory_cap, profile_all_nodes, ModelCoefficients,
     NodeClassification, NodeProfile, OneDimLayout, StripeClass,
@@ -37,9 +38,10 @@ pub struct PlanOptions {
     pub sync_buffer_budget: Option<usize>,
     /// The classifier to run (the paper's greedy model by default).
     pub classifier: ClassifierKind,
-    /// Real worker threads for the per-node classification fan-out (1 = run
-    /// serially, the default). Per-node results are collected in rank order,
-    /// so the plan is identical for any worker count.
+    /// Real worker threads for the per-node profiling and classification
+    /// fan-outs (1 = run serially, the default). Per-node results are
+    /// collected in rank order, so the plan is identical for any worker
+    /// count.
     pub workers: usize,
 }
 
@@ -47,41 +49,6 @@ impl Default for PlanOptions {
     fn default() -> Self {
         PlanOptions { sync_buffer_budget: None, classifier: ClassifierKind::default(), workers: 1 }
     }
-}
-
-/// A minimal scoped work-sharing map: runs `f(i)` for `i in 0..tasks` across
-/// `workers` threads (the caller included) and returns results in task
-/// order. Local to this crate — the partition layer sits below
-/// `twoface-core`'s pool and cannot depend on it.
-fn par_map_indexed<R, F>(workers: usize, tasks: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if workers <= 1 || tasks <= 1 {
-        return (0..tasks).map(f).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-    let work = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= tasks {
-            break;
-        }
-        *slots[i].lock().expect("slot poisoned") = Some(f(i));
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..workers.min(tasks) {
-            scope.spawn(work);
-        }
-        work();
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot poisoned").expect("every task ran"))
-        .collect()
 }
 
 /// A complete stripe classification for one matrix on one layout.
@@ -107,7 +74,7 @@ impl PartitionPlan {
         k: usize,
         options: PlanOptions,
     ) -> PartitionPlan {
-        let profiles = profile_all_nodes(a, &layout);
+        let profiles = profile_all_nodes(a, &layout, options.workers);
         Self::build_from_profiles(profiles, layout, coeffs, k, options)
     }
 
@@ -156,15 +123,20 @@ impl PartitionPlan {
         };
         // Nodes classify independently; fan the map out across workers and
         // collect per-node results (classification, flips) in rank order.
-        let classified = par_map_indexed(options.workers, profiles.len(), |i| {
-            let profile = &profiles[i];
-            let mut c = classify_node_fanout_aware(profile, &layout, coeffs, k, fanout);
-            let flips = match options.sync_buffer_budget {
-                Some(budget) => enforce_memory_cap(&mut c, profile, &layout, coeffs, k, budget),
-                None => 0,
-            };
-            (c, flips)
-        });
+        let classified = par_map_indexed(
+            options.workers,
+            profiles.len(),
+            || (),
+            |_, i| {
+                let profile = &profiles[i];
+                let mut c = classify_node_fanout_aware(profile, &layout, coeffs, k, fanout);
+                let flips = match options.sync_buffer_budget {
+                    Some(budget) => enforce_memory_cap(&mut c, profile, &layout, coeffs, k, budget),
+                    None => 0,
+                };
+                (c, flips)
+            },
+        );
         let memory_flips = classified.iter().map(|(_, flips)| flips).sum();
         let classifications: Vec<NodeClassification> =
             classified.into_iter().map(|(c, _)| c).collect();
@@ -197,7 +169,7 @@ impl PartitionPlan {
         class: StripeClass,
     ) -> PartitionPlan {
         assert_ne!(class, StripeClass::LocalInput, "remote stripes cannot be local-input");
-        let profiles = profile_all_nodes(a, &layout);
+        let profiles = profile_all_nodes(a, &layout, 1);
         let classifications: Vec<NodeClassification> = profiles
             .iter()
             .map(|profile| NodeClassification {
@@ -488,7 +460,7 @@ mod tests {
                 NodeProfile::build_from_rows(&shard, &layout, rank)
             })
             .collect();
-        assert_eq!(profiles, profile_all_nodes(&a, &layout));
+        assert_eq!(profiles, profile_all_nodes(&a, &layout, 1));
         let streamed = PartitionPlan::build_from_profiles(
             profiles,
             layout,

@@ -2,9 +2,10 @@
 //!
 //! The preprocessing model (§4.2) needs two numbers per sparse stripe of a
 //! node: `n_i`, the nonzeros the stripe holds, and `l_i`, the distinct dense
-//! rows of `B` it requires. This module computes them, along with the column
-//! id lists that later drive the asynchronous transfers.
+//! rows of `B` it requires. This module computes them in one pass over each
+//! node's row block.
 
+use crate::par::par_map_indexed;
 use crate::OneDimLayout;
 use twoface_matrix::{CooMatrix, Entry};
 
@@ -16,12 +17,10 @@ pub struct StripeProfile {
     /// `n_i`: nonzeros of this node falling in the stripe.
     pub nnz: usize,
     /// `l_i`: the number of distinct `B` rows an asynchronous transfer
-    /// would fetch. Only the *count* survives profiling — the column ids
-    /// themselves are a transient of construction (at paper scale the
-    /// per-stripe id lists cost ~8 bytes per nonzero held across the whole
-    /// streamed pipeline, and nothing downstream of classification reads
-    /// them: the executor fetches from the rank structures' own
-    /// `unique_cols`).
+    /// would fetch. Only the *count* is computed — no per-stripe column id
+    /// list is ever built (at paper scale such lists cost ~8 bytes per
+    /// nonzero, and nothing downstream of classification would read them:
+    /// the executor fetches from the rank structures' own `unique_cols`).
     pub rows_needed: usize,
 }
 
@@ -46,20 +45,10 @@ pub struct NodeProfile {
 impl NodeProfile {
     /// Builds the profile of `rank`'s local partition of `a`.
     ///
-    /// `a` is the *global* matrix; only nonzeros in `rank`'s row block are
-    /// inspected.
+    /// `a` is the *global* matrix; only `rank`'s row block is inspected,
+    /// found by binary search ([`CooMatrix::row_block`]).
     pub fn build(a: &CooMatrix, layout: &OneDimLayout, rank: usize) -> NodeProfile {
-        let rows = layout.row_range(rank);
-        let mut cols_by_stripe: Vec<Vec<usize>> = vec![Vec::new(); layout.num_stripes()];
-        let mut nnz_by_stripe = vec![0usize; layout.num_stripes()];
-        for (r, c, _) in a.iter() {
-            if rows.contains(&r) {
-                let s = layout.stripe_of_col(c);
-                cols_by_stripe[s].push(c);
-                nnz_by_stripe[s] += 1;
-            }
-        }
-        Self::finish(rank, cols_by_stripe, nnz_by_stripe)
+        Self::build_from_rows(a.row_block(layout.row_range(rank)), layout, rank)
     }
 
     /// Builds the profile of `rank` directly from its row shard — the
@@ -73,33 +62,50 @@ impl NodeProfile {
         layout: &OneDimLayout,
         rank: usize,
     ) -> NodeProfile {
-        let rows = layout.row_range(rank);
-        let mut cols_by_stripe: Vec<Vec<usize>> = vec![Vec::new(); layout.num_stripes()];
-        let mut nnz_by_stripe = vec![0usize; layout.num_stripes()];
-        for t in rank_entries {
-            debug_assert!(rows.contains(&t.row()), "entry outside rank's row block");
-            let s = layout.stripe_of_col(t.col());
-            cols_by_stripe[s].push(t.col());
-            nnz_by_stripe[s] += 1;
-        }
-        let _ = rows;
-        Self::finish(rank, cols_by_stripe, nnz_by_stripe)
+        Self::profile(rank_entries, layout, rank, &mut ColumnStamps::new(layout.cols()))
     }
 
-    fn finish(
+    /// One pass over the rank's entries: `n_i` counts every entry, `l_i`
+    /// only the first entry of each column (columns never straddle stripes,
+    /// so distinct columns per stripe are distinct columns, stripe by
+    /// stripe).
+    fn profile<E: Entry>(
+        rank_entries: &[E],
+        layout: &OneDimLayout,
         rank: usize,
-        cols_by_stripe: Vec<Vec<usize>>,
-        nnz_by_stripe: Vec<usize>,
+        stamps: &mut ColumnStamps,
     ) -> NodeProfile {
-        let stripes = cols_by_stripe
+        debug_assert!(
+            rank_entries.iter().all(|t| layout.row_range(rank).contains(&t.row())),
+            "entry outside rank's row block"
+        );
+        let epoch = stamps.next_epoch();
+        let mut nnz = vec![0usize; layout.num_stripes()];
+        let mut rows_needed = vec![0usize; layout.num_stripes()];
+        for t in rank_entries {
+            let col = t.col();
+            let [seen, cached] = &mut stamps.columns[col];
+            let stripe = match *cached {
+                0 => {
+                    let stripe = layout.stripe_of_col(col);
+                    // A stripe index past `u32` is looked up every time.
+                    *cached = u32::try_from(stripe + 1).unwrap_or(0);
+                    stripe
+                }
+                cached => cached as usize - 1,
+            };
+            nnz[stripe] += 1;
+            if *seen != epoch {
+                *seen = epoch;
+                rows_needed[stripe] += 1;
+            }
+        }
+        let stripes = nnz
             .into_iter()
+            .zip(rows_needed)
             .enumerate()
-            .filter(|(_, cols)| !cols.is_empty())
-            .map(|(stripe, mut cols)| {
-                cols.sort_unstable();
-                cols.dedup();
-                StripeProfile { stripe, nnz: nnz_by_stripe[stripe], rows_needed: cols.len() }
-            })
+            .filter(|&(_, (nnz, _))| nnz > 0)
+            .map(|(stripe, (nnz, rows_needed))| StripeProfile { stripe, nnz, rows_needed })
             .collect();
         NodeProfile { rank, stripes }
     }
@@ -132,9 +138,53 @@ impl NodeProfile {
     }
 }
 
-/// Builds profiles for every node.
-pub fn profile_all_nodes(a: &CooMatrix, layout: &OneDimLayout) -> Vec<NodeProfile> {
-    (0..layout.nodes()).map(|rank| NodeProfile::build(a, layout, rank)).collect()
+/// Per-worker column scratch for profiling, reused for every rank the
+/// worker profiles. `columns[c]` holds two words for column `c`:
+///
+/// * a stamp for distinct-column counting without sorting: `== epoch`
+///   marks the column as already counted by the profile being built, and
+///   starting a new profile bumps the epoch instead of clearing the array;
+/// * the column's stripe plus one (0 = not looked up yet), so the divisions
+///   of [`OneDimLayout::stripe_of_col`] are paid once per column, not once
+///   per nonzero.
+///
+/// The array is allocated zeroed and written only at columns that hold
+/// nonzeros, so a wide, hypersparse matrix pays resident memory only for
+/// the pages its columns fall on.
+struct ColumnStamps {
+    columns: Vec<[u32; 2]>,
+    epoch: u32,
+}
+
+impl ColumnStamps {
+    fn new(cols: usize) -> ColumnStamps {
+        ColumnStamps { columns: vec![[0; 2]; cols], epoch: 0 }
+    }
+
+    /// Starts a new profile with no column marked.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.columns.iter_mut().for_each(|[seen, _]| *seen = 0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+}
+
+/// Builds profiles for every node, in rank order: each rank is profiled
+/// from its own row block, fanned out over `workers` threads that each
+/// reuse one column-stamp array. `O(nnz)` in total; the result does not
+/// depend on `workers`.
+pub fn profile_all_nodes(a: &CooMatrix, layout: &OneDimLayout, workers: usize) -> Vec<NodeProfile> {
+    par_map_indexed(
+        workers,
+        layout.nodes(),
+        || ColumnStamps::new(layout.cols()),
+        |stamps, rank| {
+            NodeProfile::profile(a.row_block(layout.row_range(rank)), layout, rank, stamps)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -196,7 +246,7 @@ mod tests {
     #[test]
     fn totals_cover_the_matrix() {
         let (a, layout) = fixture();
-        let profiles = profile_all_nodes(&a, &layout);
+        let profiles = profile_all_nodes(&a, &layout, 1);
         let total: usize = profiles.iter().map(NodeProfile::total_nnz).sum();
         assert_eq!(total, a.nnz());
     }

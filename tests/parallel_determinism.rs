@@ -11,7 +11,8 @@ use twoface_core::kernels::{
 };
 use twoface_core::pool::Pool;
 use twoface_core::{
-    prepare_plan, reference_spmm_pooled, run_algorithm, Algorithm, Problem, RunOptions,
+    prepare_plan, reference_spmm_pooled, run_algorithm, Algorithm, PreparedMatrix, Problem,
+    RunOptions,
 };
 use twoface_matrix::gen::{erdos_renyi, webcrawl, WebcrawlConfig};
 use twoface_matrix::{DenseMatrix, Triplet};
@@ -242,6 +243,52 @@ fn plans_are_identical_across_workers() {
     // worker counts too: rebuild through the public entry point.
     let again = prepare_plan(&problem, &coeffs, &cost);
     assert_eq!(serial, again);
+}
+
+/// Parallel preprocessing end to end: the capped plan and every rank's
+/// structures come out identical at workers 1, 2 and 4, so the `PartitionPlan`
+/// and `PreparedMatrix` fingerprints do too.
+#[test]
+fn prepared_artifacts_are_identical_across_workers() {
+    let cost = CostModel::delta_scaled();
+    // A hub-heavy crawl, and a matrix whose last ranks own no nonzeros.
+    let crawl = fixture(512, 32, 4, 32);
+    let sparse_tail = Problem::with_generated_b(
+        Arc::new(
+            twoface_matrix::CooMatrix::from_triplets(
+                64,
+                64,
+                (0..200).map(|i| ((i * 7) % 24, (i * 13) % 64, 1.0 + i as f64)),
+            )
+            .expect("in bounds"),
+        ),
+        8,
+        5,
+        6,
+    )
+    .expect("fixture is valid");
+    for problem in [&crawl, &sparse_tail] {
+        let build = |workers: usize| {
+            PreparedMatrix::build(
+                problem,
+                &cost,
+                &RunOptions { workers: Some(workers), ..Default::default() },
+            )
+            .expect("fixture preprocesses")
+        };
+        let serial = build(1);
+        for workers in [2, 4] {
+            let par = build(workers);
+            assert_eq!(par.plan().as_ref(), serial.plan().as_ref(), "plan at {workers} workers");
+            assert_eq!(par.plan().fingerprint(), serial.plan().fingerprint());
+            assert_eq!(par.fingerprint(), serial.fingerprint(), "prepared at {workers} workers");
+            assert_eq!(
+                par.rank_matrices().as_ref(),
+                serial.rank_matrices().as_ref(),
+                "rank structures at {workers} workers"
+            );
+        }
+    }
 }
 
 /// The parallel verification oracle is bitwise equal to its serial form.

@@ -16,8 +16,8 @@ use twoface_core::{
 use twoface_matrix::{CooMatrix, DenseMatrix, Triplet};
 use twoface_net::{CostModel, FaultPlan, PhaseClass, RetryPolicy};
 use twoface_partition::{
-    classify_node, ModelCoefficients, NodeProfile, OneDimLayout, PartitionPlan, PlanOptions,
-    StripeClass,
+    classify_node, profile_all_nodes, ModelCoefficients, NodeProfile, OneDimLayout, PartitionPlan,
+    PlanOptions, StripeClass, StripeProfile,
 };
 
 /// Number of random cases per property.
@@ -162,6 +162,84 @@ fn partition_plan_conserves_nonzeros() {
         let (l, s, a) = plan.nnz_totals();
         assert_eq!(l + s + a, m.nnz(), "case {case}");
     }
+}
+
+/// The profiler as the model defines it, with no shortcut: for every rank
+/// and every stripe, scan the whole matrix and collect the stripe's columns
+/// in a set.
+fn naive_profiles(m: &CooMatrix, layout: &OneDimLayout) -> Vec<NodeProfile> {
+    (0..layout.nodes())
+        .map(|rank| {
+            let rows = layout.row_range(rank);
+            let stripes = (0..layout.num_stripes())
+                .filter_map(|stripe| {
+                    let cols = layout.stripe_cols(stripe);
+                    let held: Vec<&Triplet> = m
+                        .triplets()
+                        .iter()
+                        .filter(|t| rows.contains(&t.row) && cols.contains(&t.col))
+                        .collect();
+                    let distinct: BTreeSet<usize> = held.iter().map(|t| t.col).collect();
+                    (!held.is_empty()).then_some(StripeProfile {
+                        stripe,
+                        nnz: held.len(),
+                        rows_needed: distinct.len(),
+                    })
+                })
+                .collect();
+            NodeProfile { rank, stripes }
+        })
+        .collect()
+}
+
+#[test]
+fn profiler_matches_the_naive_reference() {
+    let mut rng = StdRng::seed_from_u64(0xC5_0F);
+    let (mut empty_ranks, mut repeated_cols) = (0, 0);
+    for case in 0..CASES {
+        // Rows drawn from a prefix leave the last ranks empty; columns drawn
+        // from a small pool repeat within a stripe; odd sizes make the row
+        // and column blocks uneven.
+        let rows = rng.gen_range(1usize..40);
+        let cols = rng.gen_range(1usize..40);
+        let row_span = rng.gen_range(1..=rows);
+        let pool: Vec<usize> =
+            (0..rng.gen_range(1usize..8)).map(|_| rng.gen_range(0..cols)).collect();
+        let triplets: Vec<(usize, usize, f64)> = (0..rng.gen_range(0usize..150))
+            .map(|_| {
+                let col = if rng.gen_bool(0.5) {
+                    pool[rng.gen_range(0..pool.len())]
+                } else {
+                    rng.gen_range(0..cols)
+                };
+                (rng.gen_range(0..row_span), col, 1.0)
+            })
+            .collect();
+        let m = CooMatrix::from_triplets(rows, cols, triplets).expect("in bounds");
+        let p = rng.gen_range(1..=rows.min(9));
+        let layout = OneDimLayout::new(rows, cols, p, rng.gen_range(1usize..12));
+        let expected = naive_profiles(&m, &layout);
+        empty_ranks += expected.iter().filter(|n| n.stripes.is_empty()).count();
+        repeated_cols +=
+            expected.iter().flat_map(|n| &n.stripes).filter(|s| s.rows_needed < s.nnz).count();
+        for workers in [1, 2, 4] {
+            assert_eq!(
+                profile_all_nodes(&m, &layout, workers),
+                expected,
+                "case {case} at {workers} workers"
+            );
+        }
+        for (rank, want) in expected.iter().enumerate() {
+            assert_eq!(&NodeProfile::build(&m, &layout, rank), want, "case {case} rank {rank}");
+            let shard = m.row_block(layout.row_range(rank));
+            assert_eq!(
+                &NodeProfile::build_from_rows(shard, &layout, rank),
+                want,
+                "case {case} rank {rank} from rows"
+            );
+        }
+    }
+    assert!(empty_ranks > 0 && repeated_cols > 0, "the generator covers both shapes");
 }
 
 #[test]
