@@ -17,8 +17,9 @@ pub(crate) mod summa;
 pub(crate) mod twoface;
 
 use crate::config::TwoFaceConfig;
+use crate::error::RankError;
 use crate::runner::{ExecOpts, Problem};
-use twoface_net::{NetError, RankCtx};
+use twoface_net::RankCtx;
 
 /// One of the distributed SpMM algorithms the repository evaluates: the
 /// paper's Table-4 lineup plus the algorithm-family extensions.
@@ -167,8 +168,8 @@ pub(crate) trait SpmmAlgorithm: Sync {
     fn memory_extra(&self, rank: usize) -> usize;
 
     /// The per-rank body. Returns the rank's flat `row_block × K` slab of
-    /// `C`, or the first unrecoverable communication fault.
-    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, NetError>;
+    /// `C`, or the first unrecoverable fault.
+    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, RankError>;
 }
 
 /// Builds the staged object for a *concrete* algorithm (the runner resolves

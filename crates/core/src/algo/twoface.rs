@@ -20,20 +20,24 @@
 //! (line 15); with the Table-2 split that adds at most 8 of 128 threads, an
 //! effect the paper's own model also neglects, so the simulator charges sync
 //! compute at the sync pool's throughput regardless.
+//!
+//! The schedule exists once, in [`execute_twoface`], generic over a
+//! [`StripeSource`] — the resident structures, the §5.4 masked view
+//! (`crate::sampling`) or the spilled per-rank store (`crate::stream`) —
+//! and a [`LaneKernel`]: SpMM accumulation into `C`, or the SDDMM dot
+//! products of `crate::sddmm`.
 
 use crate::algo::SpmmAlgorithm;
 use crate::coalesce::coalesce_rows;
-use crate::config::TwoFaceConfig;
+use crate::config::{AsyncLayout, TwoFaceConfig};
+use crate::error::RankError;
 use crate::format::RankMatrices;
-use crate::kernels::{
-    async_stripe_kernel, par_async_stripe, par_sync_panels, sync_panel_kernel, BlockRows,
-    FetchedRows,
-};
+use crate::kernels::{par_async_stripe, par_sync_panels, BlockRows, FetchedRows, RowSource};
 use crate::pool::{Pool, WallTimer};
 use crate::runner::{ExecOpts, Problem};
 use std::sync::Arc;
-use twoface_matrix::{Entry, SmallTriplet, SCALAR_BYTES};
-use twoface_net::{Lane, NetError, Payload, PhaseClass, RankCtx};
+use twoface_matrix::{SmallTriplet, SCALAR_BYTES};
+use twoface_net::{Lane, Payload, PhaseClass, RankCtx};
 use twoface_partition::PartitionPlan;
 
 /// Shared preprocessed inputs for Two-Face and Async Fine, indexed by rank.
@@ -125,59 +129,160 @@ impl SpmmAlgorithm for PlannedAlgo<'_> {
         planned_memory_extra(&self.data.plan, self.exec.k, rank)
     }
 
-    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, NetError> {
-        twoface_rank(ctx, &self.data, self.problem, self.config, &self.exec)
+    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, RankError> {
+        let rank = ctx.rank();
+        let local_rows = self.problem.layout.row_range(rank).len();
+        let mut kernel = SpmmKernel::new(local_rows, self.config, &self.exec);
+        let mut source = ResidentSource(&self.data.rank_matrices[rank]);
+        let (plan, b_block) = (&self.data.plan, &self.data.b_blocks[rank]);
+        execute_twoface(ctx, plan, b_block, self.config, &self.exec, &mut source, &mut kernel)?;
+        Ok(kernel.c_local)
     }
 }
 
-/// Executes Two-Face on one rank. Returns the rank's flat `C` block, or the
-/// first unrecoverable communication fault.
-pub(crate) fn twoface_rank(
-    ctx: &mut RankCtx,
-    data: &TwoFaceData,
-    problem: &Problem,
-    config: &TwoFaceConfig,
-    opts: &ExecOpts,
-) -> Result<Vec<f64>, NetError> {
-    twoface_rank_masked(ctx, data, problem, config, opts, None)
+/// One asynchronous stripe as the executor consumes it.
+pub(crate) struct AsyncView<'s> {
+    /// Global stripe index.
+    pub stripe: usize,
+    /// The nonzeros to compute, row-major (local rows, global columns).
+    pub entries: &'s [SmallTriplet],
+    /// Their distinct global column ids, ascending: the rows to fetch.
+    pub unique_cols: &'s [u32],
 }
 
-/// [`twoface_rank`] with an optional per-epoch edge mask (§5.4's sampled
-/// GNN sketch): the stripe classification and multicast schedule stay fixed
-/// from the one-time preprocessing, while masked-out nonzeros are skipped at
-/// runtime — asynchronous stripes even shrink their fetches to the rows the
-/// surviving nonzeros need.
-pub(crate) fn twoface_rank_masked(
+/// Where a rank's nonzeros come from: its resident [`RankMatrices`], a
+/// masked view of them, or its spilled store read back stripe by stripe.
+pub(crate) trait StripeSource {
+    /// Visits the async stripes in ascending order, stopping at the first
+    /// error.
+    fn for_each_async<F>(&mut self, visit: F) -> Result<(), RankError>
+    where
+        F: FnMut(AsyncView<'_>) -> Result<(), RankError>;
+
+    /// `(nonzeros, non-empty row panels)` of the sync/local entries, which
+    /// price the sync-lane compute charge.
+    fn sync_work(&self) -> (usize, usize);
+
+    /// Visits the sync/local entries row-major, in chunks that never split
+    /// an output row.
+    fn for_each_sync_chunk<F>(&mut self, visit: F) -> Result<(), RankError>
+    where
+        F: FnMut(&[SmallTriplet]);
+}
+
+/// A rank's preprocessed structures, as built.
+pub(crate) struct ResidentSource<'a>(pub &'a RankMatrices);
+
+impl StripeSource for ResidentSource<'_> {
+    fn for_each_async<F>(&mut self, mut visit: F) -> Result<(), RankError>
+    where
+        F: FnMut(AsyncView<'_>) -> Result<(), RankError>,
+    {
+        self.0.asynchronous.stripes().iter().try_for_each(|s| {
+            visit(AsyncView {
+                stripe: s.stripe,
+                entries: s.entries_row_major(),
+                unique_cols: &s.unique_cols,
+            })
+        })
+    }
+
+    fn sync_work(&self) -> (usize, usize) {
+        (self.0.sync_local.nnz(), self.0.sync_local.num_nonempty_panels())
+    }
+
+    fn for_each_sync_chunk<F>(&mut self, mut visit: F) -> Result<(), RankError>
+    where
+        F: FnMut(&[SmallTriplet]),
+    {
+        visit(self.0.sync_local.entries()); // row panels tile the local rows
+        Ok(())
+    }
+}
+
+/// The per-entry work of both lanes, over row-major entries and the `B`
+/// rows the lane holds (fetched rows on the async lane; multicast stripes
+/// plus the own block on the sync lane). Returns the host spans dispatched,
+/// for wall-time profiling only.
+pub(crate) trait LaneKernel {
+    fn compute(
+        &mut self,
+        pool: &Pool,
+        lane: Lane,
+        entries: &[SmallTriplet],
+        rows: &impl RowSource,
+    ) -> usize;
+}
+
+/// SpMM: products accumulate into the rank's `C` block.
+pub(crate) struct SpmmKernel {
+    pub c_local: Vec<f64>,
+    k: usize,
+    row_major: bool,
+}
+
+impl SpmmKernel {
+    pub(crate) fn new(local_rows: usize, config: &TwoFaceConfig, opts: &ExecOpts) -> SpmmKernel {
+        let row_major = config.async_layout == AsyncLayout::RowMajor;
+        SpmmKernel { c_local: vec![0.0; local_rows * opts.k], k: opts.k, row_major }
+    }
+}
+
+impl LaneKernel for SpmmKernel {
+    fn compute(
+        &mut self,
+        pool: &Pool,
+        lane: Lane,
+        entries: &[SmallTriplet],
+        rows: &impl RowSource,
+    ) -> usize {
+        // Async stripes accumulate straight into `C` (per output row the
+        // ascending-column order matches the serial column-major kernel, so
+        // any worker count is bit-identical); §7.1's row-major variant and
+        // the sync lane use the buffered row-panel kernel.
+        if lane == Lane::Async && !self.row_major {
+            par_async_stripe(pool, entries, rows, &mut self.c_local, self.k)
+        } else {
+            par_sync_panels(pool, entries, rows, &mut self.c_local, self.k)
+        }
+    }
+}
+
+/// The two-lane Two-Face schedule on one rank (Algorithms 1–3), shared by
+/// every runner: multicast the sync stripes, then per async stripe coalesce
+/// the rows, `Rget` them and run the kernel, then the sync-lane compute.
+/// Every simulated charge is issued here, so resident, masked, streamed and
+/// SDDMM runs of one plan pay identical costs for identical work.
+///
+/// With `opts.compute` off only the kernels are skipped (and the source is
+/// never asked for sync entries); the clocks advance identically.
+pub(crate) fn execute_twoface(
     ctx: &mut RankCtx,
-    data: &TwoFaceData,
-    problem: &Problem,
+    plan: &PartitionPlan,
+    b_block: &Arc<Vec<f64>>,
     config: &TwoFaceConfig,
     opts: &ExecOpts,
-    mask: Option<&crate::sampling::EdgeMask>,
-) -> Result<Vec<f64>, NetError> {
+    source: &mut impl StripeSource,
+    kernel: &mut impl LaneKernel,
+) -> Result<(), RankError> {
     let rank = ctx.rank();
-    let layout = &problem.layout;
+    let layout = plan.layout();
     let k = opts.k;
     // Real execution workers for this rank's local kernels; orthogonal to
     // the modeled thread counts in `config` (see `crate::pool`).
     let pool = Pool::new(opts.workers);
-    let plan = &data.plan;
-    let matrices = &data.rank_matrices[rank];
     let my_cols = layout.col_range(rank);
-    let row_base = layout.row_range(rank).start;
-    let is_active =
-        |t: &SmallTriplet| mask.is_none_or(|m| m.is_active(row_base + t.row(), t.col()));
 
     // Window exposing this rank's B block for fine-grained gets; creation is
     // the "initial setup of data structures for MPI" that Figure 10 labels
     // Other.
-    let win = ctx.create_window(Arc::clone(&data.b_blocks[rank]))?;
+    let win = ctx.create_window(Arc::clone(b_block))?;
 
     // --- Sync lane: dense stripe transfers (Algorithm 1, lines 5-8). ---
     // Canonical global stripe order keeps every rank's collective sequence
     // consistent, as MPI requires.
     let mut stripe_buffers = BlockRows::new(k);
-    stripe_buffers.add_block(my_cols.clone(), Arc::clone(&data.b_blocks[rank]));
+    stripe_buffers.add_block(my_cols.clone(), Arc::clone(b_block));
     for stripe in 0..layout.num_stripes() {
         let Some(group) = plan.multicast_group(stripe) else {
             continue; // nobody needs it synchronously: never communicated
@@ -192,7 +297,7 @@ pub(crate) fn twoface_rank_masked(
             let cols = layout.stripe_cols(stripe);
             let lo = (cols.start - my_cols.start) * k;
             let hi = (cols.end - my_cols.start) * k;
-            Payload::from(Arc::clone(&data.b_blocks[rank])).subslice(lo..hi)
+            Payload::from(Arc::clone(b_block)).subslice(lo..hi)
         });
         let buf = ctx.multicast(stripe as u64, owner, &group, payload)?;
         if owner != rank {
@@ -201,41 +306,29 @@ pub(crate) fn twoface_rank_masked(
     }
 
     // --- Async lane: Algorithm 3 per asynchronous stripe. ---
-    let local_rows = layout.row_range(rank).len();
-    let mut c_local = vec![0.0; local_rows * k];
     let max_distance = config.max_coalesce_distance(k);
+    let row_major = config.async_layout == AsyncLayout::RowMajor;
     // Arena scratch shared across stripes: the fetch buffer cycles through
     // `FetchedRows` and back, and the owner-local column list is rebuilt in
     // place — no per-stripe allocations on the async lane's steady state.
     let mut fetch_scratch: Vec<f64> = Vec::new();
     let mut owner_local: Vec<usize> = Vec::new();
-    for stripe in matrices.asynchronous.stripes() {
-        let owner = layout.stripe_owner(stripe.stripe);
+    source.for_each_async(|view| {
+        if view.unique_cols.is_empty() {
+            return Ok(()); // fully masked out: no transfer at all
+        }
+        let owner = layout.stripe_owner(view.stripe);
         debug_assert_ne!(owner, rank, "async stripes are remote-input by construction");
         let col_base = layout.col_range(owner).start;
-        // Under a mask, only the surviving nonzeros' rows are fetched —
-        // column-major order makes the filtered UniqueColIDs a single scan.
         owner_local.clear();
-        let active: Vec<SmallTriplet> = if mask.is_some() {
-            let active: Vec<_> = stripe.entries.iter().filter(|t| is_active(t)).copied().collect();
-            owner_local.extend(active.iter().map(|t| t.col() - col_base));
-            owner_local.dedup(); // column-major: already sorted by col
-            active
-        } else {
-            owner_local.extend(stripe.unique_cols.iter().map(|&c| c as usize - col_base));
-            Vec::new()
-        };
-        if owner_local.is_empty() && mask.is_some() {
-            continue; // fully masked out: no transfer at all
-        }
-        let active_nnz = if mask.is_some() { active.len() } else { stripe.nnz() };
+        owner_local.extend(view.unique_cols.iter().map(|&c| c as usize - col_base));
+        let nnz = view.entries.len();
         // §7.1's rejected row-major variant: the required rows must be
         // identified by a runtime sort+dedup before the transfer can even be
         // issued; compute is then buffered (row-panel throughput on the
         // async pool) instead of atomic-per-nonzero.
-        let row_major = config.async_layout == crate::config::AsyncLayout::RowMajor;
         if row_major {
-            let identify = ctx.cost().identify_cost(active_nnz);
+            let identify = ctx.cost().identify_cost(nnz);
             ctx.advance(Lane::Async, identify, PhaseClass::AsyncComp);
         }
         let (runs, _padding) = coalesce_rows(&owner_local, max_distance);
@@ -248,9 +341,9 @@ pub(crate) fn twoface_rank_masked(
         let compute_cost = if row_major {
             let per_element = ctx.cost().gamma_sync
                 * (config.sync_comp_threads as f64 / config.async_comp_threads as f64);
-            per_element * (active_nnz * k) as f64 + ctx.cost().kappa_async
+            per_element * (nnz * k) as f64 + ctx.cost().kappa_async
         } else {
-            ctx.cost().async_compute_cost(active_nnz, k, 1)
+            ctx.cost().async_compute_cost(nnz, k, 1)
         };
         // The real kernel runs before its span is charged so its measured
         // wall time can ride on the event; the simulated clocks advance by
@@ -258,37 +351,11 @@ pub(crate) fn twoface_rank_masked(
         let timer = WallTimer::start(ctx.wall_time_enabled() && opts.compute);
         if opts.compute {
             let rows_src = FetchedRows::new(&runs, col_base, std::mem::take(&mut fetch_scratch), k);
-            if row_major {
-                // Execute in row-major order with the buffered kernel; the
-                // numeric result is identical, only the summation order and
-                // the charged cost differ. The row-major ordering is
-                // precomputed at preprocessing time; a mask only needs a
-                // runtime filter, never a sort.
-                if mask.is_some() {
-                    let active_rm: Vec<SmallTriplet> = stripe
-                        .entries_row_major()
-                        .iter()
-                        .filter(|t| is_active(t))
-                        .copied()
-                        .collect();
-                    sync_panel_kernel(&active_rm, &rows_src, &mut c_local, k);
-                } else {
-                    par_sync_panels(&pool, stripe.entries_row_major(), &rows_src, &mut c_local, k);
-                }
-            } else if mask.is_some() {
-                async_stripe_kernel(&active, &rows_src, &mut c_local, k);
-            } else {
-                // The parallel driver consumes the row-major view: per
-                // output row the contribution order (ascending column)
-                // matches the serial column-major kernel exactly, so the
-                // result is bit-identical for any worker count.
-                let spans =
-                    par_async_stripe(&pool, stripe.entries_row_major(), &rows_src, &mut c_local, k);
-                // Span fan-out scales with the host pool, so it lives in the
-                // host-profiling namespace, gated with wall time.
-                if ctx.wall_time_enabled() {
-                    ctx.observe("host.kernel_spans", spans as u64);
-                }
+            let spans = kernel.compute(&pool, Lane::Async, view.entries, &rows_src);
+            // Span fan-out scales with the host pool, so it lives in the
+            // host-profiling namespace, gated with wall time.
+            if ctx.wall_time_enabled() {
+                ctx.observe("host.kernel_spans", spans as u64);
             }
             // Recycle the fetch allocation for the next stripe.
             fetch_scratch = rows_src.into_data();
@@ -297,45 +364,29 @@ pub(crate) fn twoface_rank_masked(
             Lane::Async,
             compute_cost,
             PhaseClass::AsyncComp,
-            (active_nnz * k) as u64,
+            (nnz * k) as u64,
+            timer.elapsed_nanos(),
+        );
+        Ok(())
+    })?;
+
+    // --- Sync lane: row-panel compute (Algorithm 1 lines 15-19). ---
+    let (sync_nnz, nonempty_panels) = source.sync_work();
+    if sync_nnz > 0 {
+        let timer = WallTimer::start(ctx.wall_time_enabled() && opts.compute);
+        if opts.compute {
+            source.for_each_sync_chunk(|chunk| {
+                kernel.compute(&pool, Lane::Sync, chunk, &stripe_buffers);
+            })?;
+        }
+        let cost = ctx.cost().sync_compute_cost(sync_nnz, k, nonempty_panels);
+        ctx.advance_span(
+            Lane::Sync,
+            cost,
+            PhaseClass::SyncComp,
+            (sync_nnz * k) as u64,
             timer.elapsed_nanos(),
         );
     }
-
-    // --- Sync lane: row-panel compute (Algorithm 1 lines 15-19). ---
-    let sync_local = &matrices.sync_local;
-    if sync_local.nnz() > 0 {
-        let active_nnz = if mask.is_some() {
-            sync_local.entries().iter().filter(|t| is_active(t)).count()
-        } else {
-            sync_local.nnz()
-        };
-        let timer = WallTimer::start(ctx.wall_time_enabled() && opts.compute);
-        if opts.compute {
-            if mask.is_some() {
-                for panel in 0..sync_local.num_panels() {
-                    let active: Vec<SmallTriplet> =
-                        sync_local.panel(panel).iter().filter(|t| is_active(t)).copied().collect();
-                    sync_panel_kernel(&active, &stripe_buffers, &mut c_local, k);
-                }
-            } else {
-                // Row panels tile the local rows, so the whole row-major
-                // entry slice fans out over row-aligned chunks — the same
-                // per-row accumulation order as the per-panel serial loop.
-                par_sync_panels(&pool, sync_local.entries(), &stripe_buffers, &mut c_local, k);
-            }
-        }
-        if active_nnz > 0 {
-            let cost =
-                ctx.cost().sync_compute_cost(active_nnz, k, sync_local.num_nonempty_panels());
-            ctx.advance_span(
-                Lane::Sync,
-                cost,
-                PhaseClass::SyncComp,
-                (active_nnz * k) as u64,
-                timer.elapsed_nanos(),
-            );
-        }
-    }
-    Ok(c_local)
+    Ok(())
 }

@@ -129,6 +129,31 @@ impl RunError {
     }
 }
 
+/// Why one rank's body stopped early: a communication fault, or a failed
+/// read of the rank's spilled structures (streamed runs only).
+#[derive(Debug)]
+pub(crate) enum RankError {
+    Net(NetError),
+    Io(String),
+}
+
+impl From<NetError> for RankError {
+    fn from(e: NetError) -> RankError {
+        RankError::Net(e)
+    }
+}
+
+impl RankError {
+    /// The run-level error for a failure on `rank`, attaching the rank's
+    /// flight-recorder tail where the variant carries one.
+    pub(crate) fn into_run_error(self, rank: usize, flight: Vec<FlightEntry>) -> RunError {
+        match self {
+            RankError::Net(e) => RunError::from_net_with_flight(rank, e, flight),
+            RankError::Io(context) => RunError::Io { context },
+        }
+    }
+}
+
 /// Appends a compact flight-recorder tail to an error message.
 fn write_flight_tail(f: &mut fmt::Formatter<'_>, flight: &[FlightEntry]) -> fmt::Result {
     if flight.is_empty() {

@@ -5,7 +5,7 @@
 use crate::algo::twoface::TwoFaceData;
 use crate::algo::Algorithm;
 use crate::config::TwoFaceConfig;
-use crate::error::RunError;
+use crate::error::{RankError, RunError};
 use crate::pool::{resolve_workers, Pool};
 use crate::reference::reference_spmm_pooled;
 use serde::{Deserialize, Serialize};
@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use twoface_matrix::{CooMatrix, DenseMatrix, SCALAR_BYTES};
 use twoface_net::{
     export, seconds_by_class, Cluster, CostModel, FaultPlan, MetricsRegistry, Observability,
-    OpEvent, PhaseClass, ProfileSummary, RankTrace,
+    OpEvent, PhaseClass, ProfileSummary, RankOutput, RankTrace,
 };
 use twoface_partition::{
     ClassifierKind, ModelCoefficients, OneDimLayout, PartitionPlan, PlanOptions, StripeClass,
@@ -315,6 +315,18 @@ pub(crate) struct ExecOpts {
     pub workers: usize,
 }
 
+impl ExecOpts {
+    /// The per-rank options of a run under `options` at width `k`.
+    pub(crate) fn from_run(options: &RunOptions, k: usize) -> ExecOpts {
+        ExecOpts {
+            k,
+            compute: options.compute_values || options.validate,
+            panel_height: options.config.row_panel_height,
+            workers: resolve_workers(options.workers),
+        }
+    }
+}
+
 /// A Figure-10 style time breakdown, in simulated seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Breakdown {
@@ -375,24 +387,20 @@ impl Breakdown {
             + self.recovery
     }
 
-    pub(crate) fn scaled(&self, factor: f64) -> Breakdown {
+    /// The per-category mean over ranks (summed in rank order, then
+    /// scaled by `1/p`).
+    fn mean(breakdowns: &[Breakdown]) -> Breakdown {
+        let scale = 1.0 / breakdowns.len() as f64;
+        let mean =
+            |f: fn(&Breakdown) -> f64| breakdowns.iter().map(f).fold(0.0, |s, x| s + x) * scale;
         Breakdown {
-            sync_comm: self.sync_comm * factor,
-            sync_comp: self.sync_comp * factor,
-            async_comm: self.async_comm * factor,
-            async_comp: self.async_comp * factor,
-            other: self.other * factor,
-            recovery: self.recovery * factor,
+            sync_comm: mean(|b| b.sync_comm),
+            sync_comp: mean(|b| b.sync_comp),
+            async_comm: mean(|b| b.async_comm),
+            async_comp: mean(|b| b.async_comp),
+            other: mean(|b| b.other),
+            recovery: mean(|b| b.recovery),
         }
-    }
-
-    pub(crate) fn add(&mut self, other: &Breakdown) {
-        self.sync_comm += other.sync_comm;
-        self.sync_comp += other.sync_comp;
-        self.async_comm += other.async_comm;
-        self.async_comp += other.async_comp;
-        self.other += other.other;
-        self.recovery += other.recovery;
     }
 }
 
@@ -537,11 +545,7 @@ pub(crate) fn prepare_plan_inner(
     workers: usize,
 ) -> PartitionPlan {
     let k = problem.k();
-    let base = base_bytes_all_ranks(problem).into_iter().max().unwrap_or(0);
-    // Leave headroom for the asynchronous fetch buffers (bounded by twice
-    // the widest stripe's rows) so the capped plan is actually runnable.
-    let fetch_allowance = 2 * problem.layout.stripe_width() * k * SCALAR_BYTES;
-    let budget = cost.memory_per_node.saturating_sub(base + fetch_allowance);
+    let budget = sync_buffer_budget(&base_bytes_all_ranks(problem), &problem.layout, k, cost);
     PartitionPlan::build(
         &problem.a,
         problem.layout.clone(),
@@ -551,17 +555,62 @@ pub(crate) fn prepare_plan_inner(
     )
 }
 
+/// §6.3's sync-stripe buffer budget: the node capacity minus the largest
+/// rank's own operands (`base_all`), leaving headroom for the asynchronous
+/// fetch buffers (bounded by twice the widest stripe's rows) so the capped
+/// plan is actually runnable.
+pub(crate) fn sync_buffer_budget(
+    base_all: &[usize],
+    layout: &OneDimLayout,
+    k: usize,
+    cost: &CostModel,
+) -> usize {
+    let base = base_all.iter().copied().max().unwrap_or(0);
+    cost.memory_per_node.saturating_sub(base + 2 * layout.stripe_width() * k * SCALAR_BYTES)
+}
+
+/// The plan a planned run executes: `options.plan` when supplied, else a
+/// plan that puts every stripe in class `uniform`, else the classified
+/// §4.2 plan built from `options`' coefficients and classifier.
+pub(crate) fn resolve_plan(
+    problem: &Problem,
+    options: &RunOptions,
+    uniform: Option<StripeClass>,
+    effective: &CostModel,
+    workers: usize,
+) -> Arc<PartitionPlan> {
+    if let Some(plan) = &options.plan {
+        return Arc::clone(plan);
+    }
+    let (a, layout, k) = (&problem.a, problem.layout.clone(), problem.k());
+    Arc::new(match uniform {
+        Some(class) => PartitionPlan::build_uniform(a, layout, k, class),
+        None => {
+            let coefficients =
+                options.coefficients.unwrap_or_else(|| ModelCoefficients::from(effective));
+            prepare_plan_inner(problem, &coefficients, effective, options.classifier, workers)
+        }
+    })
+}
+
 /// Bytes of every rank's own operands: its `A` partition, `B` block, and `C`
 /// block — each rank's nonzero count is the length of its row block, so no
 /// pass over the matrix is needed.
 fn base_bytes_all_ranks(problem: &Problem) -> Vec<usize> {
-    let k = problem.k();
     let layout = &problem.layout;
+    base_bytes(layout, problem.k(), |rank| problem.a.row_block(layout.row_range(rank)).len())
+}
+
+/// Bytes of each rank's own operands given its nonzero count `nnz(rank)`.
+pub(crate) fn base_bytes(
+    layout: &OneDimLayout,
+    k: usize,
+    nnz: impl Fn(usize) -> usize,
+) -> Vec<usize> {
+    let dense = |rows: std::ops::Range<usize>| rows.len() * k * SCALAR_BYTES;
     (0..layout.nodes())
         .map(|rank| {
-            problem.a.row_block(layout.row_range(rank)).len() * NNZ_BYTES
-                + layout.col_range(rank).len() * k * SCALAR_BYTES
-                + layout.row_range(rank).len() * k * SCALAR_BYTES
+            nnz(rank) * NNZ_BYTES + dense(layout.col_range(rank)) + dense(layout.row_range(rank))
         })
         .collect()
 }
@@ -676,15 +725,8 @@ fn run_algorithm_inner(
         }
         _ => {}
     }
-    let workers = resolve_workers(options.workers);
-    let pool = Pool::new(workers);
-    let exec = ExecOpts {
-        k,
-        compute: options.compute_values || options.validate,
-        panel_height: options.config.row_panel_height,
-        workers,
-    };
-    let coefficients = options.coefficients.unwrap_or_else(|| ModelCoefficients::from(&effective));
+    let exec = ExecOpts::from_run(options, k);
+    let pool = Pool::new(exec.workers);
 
     // Preprocessing / data staging (untimed, like loading the preprocessed
     // matrices from disk in the real system). A supplied PreparedMatrix
@@ -707,27 +749,13 @@ fn run_algorithm_inner(
             });
         }
     }
-    let plan: Option<Arc<PartitionPlan>> = if algorithm.uses_plan() {
-        Some(match (prepared, &options.plan, algorithm) {
-            (Some(prep), _, _) => Arc::clone(prep.plan()),
-            (None, Some(plan), _) => Arc::clone(plan),
-            (None, None, Algorithm::AsyncFine) => Arc::new(PartitionPlan::build_uniform(
-                &problem.a,
-                problem.layout.clone(),
-                k,
-                StripeClass::Async,
-            )),
-            (None, None, _) => Arc::new(prepare_plan_inner(
-                problem,
-                &coefficients,
-                &effective,
-                options.classifier,
-                workers,
-            )),
-        })
-    } else {
-        None
-    };
+    let plan = algorithm.uses_plan().then(|| match prepared {
+        Some(prep) => Arc::clone(prep.plan()),
+        None => {
+            let uniform = (algorithm == Algorithm::AsyncFine).then_some(StripeClass::Async);
+            resolve_plan(problem, options, uniform, &effective, exec.workers)
+        }
+    });
     let twoface_data = plan.map(|plan| match prepared {
         // Reuse the prepared rank structures when they fit this run; only
         // the B blocks (which depend on the dense operand) are staged fresh.
@@ -751,21 +779,12 @@ fn run_algorithm_inner(
             return Err(RunError::HostBudgetExceeded { required, budget });
         }
     }
-    let (worst_rank, required) = (0..p)
-        .map(|rank| (rank, base_all[rank] + staged.memory_extra(rank)))
-        .max_by_key(|&(_, bytes)| bytes)
-        .expect("at least one rank");
-    if required > cost.memory_per_node {
-        return Err(RunError::OutOfMemory {
-            rank: worst_rank,
-            required,
-            available: cost.memory_per_node,
-        });
-    }
+    let required = node_memory_peak(p, cost.memory_per_node, |rank| {
+        base_all[rank] + staged.memory_extra(rank)
+    })?;
 
     // Execute.
-    let ResolvedObservability { observability, trace_path, profile_path } =
-        resolve_observability(&options.observability);
+    let resolved = resolve_observability(&options.observability);
     let owned_cluster;
     let cluster = match external {
         Some(cluster) => cluster,
@@ -775,106 +794,128 @@ fn run_algorithm_inner(
         }
     };
     cluster.set_fault_plan(options.fault_plan.clone());
-    cluster.set_observability(observability.clone());
+    cluster.set_observability(resolved.observability.clone());
     let outputs = cluster.run(|ctx| staged.execute(ctx));
-
-    // Export the event stream before inspecting results, so a faulted run
-    // that errors out still leaves its trace behind for forensics.
-    let rank_traces: Vec<RankTrace> = outputs.iter().map(|o| o.trace.clone()).collect();
-    let rank_events: Vec<Vec<OpEvent>> = outputs.iter().map(|o| o.events.clone()).collect();
-    if let Some(path) = &trace_path {
-        write_trace_file(path, &rank_events, &rank_traces, observability.wall_time);
-    }
-    if let Some(path) = &profile_path {
-        write_profile_file(path, &rank_events);
-    }
-    let mut metrics = MetricsRegistry::new();
-    for o in &outputs {
-        metrics.merge(&o.metrics);
-    }
-
-    // A degraded run must produce a typed error, never silent corruption:
-    // surface the lowest-ranked failure (deterministic regardless of which
-    // rank's thread lost the race).
-    let mut rank_results = Vec::with_capacity(p);
-    for o in &outputs {
-        match &o.result {
-            Ok(block) => rank_results.push(block),
-            Err(e) => {
-                return Err(RunError::from_net_with_flight(o.rank, e.clone(), o.flight.clone()))
-            }
-        }
-    }
-
-    // Assemble and summarize.
-    let critical_rank =
-        outputs.iter().max_by_key(|o| o.finish_time()).expect("at least one rank").rank;
-    let seconds = outputs[critical_rank].finish_time().seconds();
-    let critical_breakdown = Breakdown::from_trace(&outputs[critical_rank].trace);
-    let mut mean_breakdown = Breakdown::default();
-    let mut elements_received = 0u64;
-    let mut messages = 0u64;
-    let mut recipients: Vec<usize> = Vec::new();
-    let mut rank_breakdowns = Vec::with_capacity(p);
-    let mut rank_seconds = Vec::with_capacity(p);
-    let mut faults_injected = 0u64;
-    for o in &outputs {
-        let b = Breakdown::from_trace(&o.trace);
-        mean_breakdown.add(&b);
-        rank_breakdowns.push(b);
-        rank_seconds.push(o.finish_time().seconds());
-        elements_received += o.trace.elements_received;
-        messages += o.trace.messages;
-        recipients.extend_from_slice(&o.trace.multicast_recipients);
-        faults_injected += o.trace.faults_injected();
-    }
-    let mean_breakdown = mean_breakdown.scaled(1.0 / p as f64);
-    let mean_multicast_recipients = if recipients.is_empty() {
-        None
+    let name = if requested == Algorithm::Auto {
+        format!("Auto({})", algorithm.name())
     } else {
-        Some(recipients.iter().sum::<usize>() as f64 / recipients.len() as f64)
+        algorithm.name()
     };
-
-    let output = if exec.compute {
-        let mut flat = Vec::with_capacity(problem.a.rows() * k);
-        for block in &rank_results {
-            flat.extend_from_slice(block);
-        }
-        Some(DenseMatrix::from_vec(problem.a.rows(), k, flat).expect("rank blocks tile C exactly"))
-    } else {
-        None
-    };
+    let (mut report, blocks) = collect_run(outputs, &resolved, name, k, required)?;
+    if exec.compute {
+        report.output = Some(tile_c(blocks, problem.a.rows(), k));
+    }
 
     if options.validate {
-        let got = output.as_ref().expect("validate implies compute");
+        let got = report.output.as_ref().expect("validate implies compute");
         let want = reference_spmm_pooled(&problem.a, &problem.b, &pool);
         if !got.approx_eq(&want, 1e-9) {
             return Err(RunError::ValidationFailed { max_abs_diff: got.max_abs_diff(&want) });
         }
     }
+    Ok(report)
+}
 
-    Ok(ExecutionReport {
-        algorithm: if requested == Algorithm::Auto {
-            format!("Auto({})", algorithm.name())
-        } else {
-            algorithm.name()
-        },
+/// Collects a finished cluster run — the post-run code every runner
+/// (resident, streamed, SDDMM, sampled) shares. In order:
+///
+/// 1. writes the `TWOFACE_TRACE` / `TWOFACE_PROFILE` artifacts — before
+///    inspecting results, so a faulted run still leaves them behind;
+/// 2. surfaces the lowest-ranked failure as a typed error with that rank's
+///    flight-recorder tail (deterministic regardless of which rank's thread
+///    lost the race) — a degraded run never yields silent corruption;
+/// 3. summarizes clocks, breakdowns, volumes and merged metrics.
+///
+/// Returns the report (with no output; callers assemble it from the rank
+/// results) and each rank's result in rank order.
+pub(crate) fn collect_run<T>(
+    outputs: Vec<RankOutput<Result<T, RankError>>>,
+    resolved: &ResolvedObservability,
+    algorithm: String,
+    k: usize,
+    memory_peak_bytes: usize,
+) -> Result<(ExecutionReport, Vec<T>), RunError> {
+    let p = outputs.len();
+    let mut rank_events: Vec<Vec<OpEvent>> = Vec::with_capacity(p);
+    let mut rank_traces: Vec<RankTrace> = Vec::with_capacity(p);
+    let mut finish_times = Vec::with_capacity(p);
+    let mut metrics = MetricsRegistry::new();
+    let mut results = Vec::with_capacity(p);
+    let mut first_error = None;
+    for o in outputs {
+        finish_times.push(o.finish_time());
+        rank_traces.push(o.trace);
+        rank_events.push(o.events);
+        metrics.merge(&o.metrics);
+        match o.result {
+            Ok(result) => results.push(result),
+            Err(e) if first_error.is_none() => {
+                first_error = Some(e.into_run_error(o.rank, o.flight))
+            }
+            Err(_) => {}
+        }
+    }
+    if let Some(path) = &resolved.trace_path {
+        write_trace_file(path, &rank_events, &rank_traces, resolved.observability.wall_time);
+    }
+    if let Some(path) = &resolved.profile_path {
+        write_profile_file(path, &rank_events);
+    }
+    if let Some(e) = first_error {
+        return Err(e);
+    }
+
+    let critical_rank = (0..p).max_by_key(|&r| finish_times[r]).expect("at least one rank");
+    let rank_seconds: Vec<f64> = finish_times.iter().map(|t| t.seconds()).collect();
+    let rank_breakdowns: Vec<Breakdown> = rank_traces.iter().map(Breakdown::from_trace).collect();
+    let recipients: Vec<usize> =
+        rank_traces.iter().flat_map(|t| t.multicast_recipients.iter().copied()).collect();
+    let report = ExecutionReport {
+        algorithm,
         p,
         k,
-        seconds,
+        seconds: rank_seconds[critical_rank],
         critical_rank,
-        critical_breakdown,
-        mean_breakdown,
+        critical_breakdown: rank_breakdowns[critical_rank],
+        mean_breakdown: Breakdown::mean(&rank_breakdowns),
+        elements_received: rank_traces.iter().map(|t| t.elements_received).sum(),
+        messages: rank_traces.iter().map(|t| t.messages).sum(),
+        mean_multicast_recipients: (!recipients.is_empty())
+            .then(|| recipients.iter().sum::<usize>() as f64 / recipients.len() as f64),
+        faults_injected: rank_traces.iter().map(RankTrace::faults_injected).sum(),
         rank_breakdowns,
         rank_seconds,
-        elements_received,
-        messages,
-        mean_multicast_recipients,
         rank_traces,
-        faults_injected,
         rank_events,
         metrics,
-        memory_peak_bytes: required,
-        output,
-    })
+        memory_peak_bytes,
+        output: None,
+    };
+    Ok((report, results))
+}
+
+/// The simulated per-node memory gate: the peak of `bytes(rank)` over the
+/// `p` ranks, or [`RunError::OutOfMemory`] naming the worst rank when it
+/// exceeds `available`.
+pub(crate) fn node_memory_peak(
+    p: usize,
+    available: usize,
+    bytes: impl Fn(usize) -> usize,
+) -> Result<usize, RunError> {
+    let (rank, required) =
+        (0..p).map(|r| (r, bytes(r))).max_by_key(|&(_, b)| b).expect("at least one rank");
+    if required > available {
+        return Err(RunError::OutOfMemory { rank, required, available });
+    }
+    Ok(required)
+}
+
+/// Stacks per-rank `C` blocks (rank order is row order) into the global
+/// output.
+pub(crate) fn tile_c(blocks: Vec<Vec<f64>>, rows: usize, k: usize) -> DenseMatrix {
+    let mut flat = Vec::with_capacity(rows * k);
+    for block in &blocks {
+        flat.extend_from_slice(block);
+    }
+    DenseMatrix::from_vec(rows, k, flat).expect("rank blocks tile C exactly")
 }

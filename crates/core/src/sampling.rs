@@ -18,12 +18,14 @@
 //!   rows the surviving nonzeros reference — fully masked stripes transfer
 //!   nothing.
 
-use crate::algo::twoface::{twoface_rank_masked, TwoFaceData};
+use crate::algo::twoface::{execute_twoface, AsyncView, SpmmKernel, StripeSource, TwoFaceData};
+use crate::error::RankError;
+use crate::format::RankMatrices;
 use crate::reference::reference_spmm;
-use crate::runner::{ExecOpts, Problem};
+use crate::runner::{collect_run, resolve_observability, tile_c, ExecOpts, Problem};
 use crate::{RunError, RunOptions};
 use std::sync::Arc;
-use twoface_matrix::{CooMatrix, DenseMatrix};
+use twoface_matrix::{CooMatrix, DenseMatrix, Entry, SmallTriplet};
 use twoface_net::{Cluster, CostModel, MetricsRegistry};
 use twoface_partition::PartitionPlan;
 
@@ -105,6 +107,56 @@ pub struct SampledReport {
     pub output: Option<DenseMatrix>,
 }
 
+/// The §5.4 masked view of one rank's resident structures: the executor
+/// sees only the nonzeros `keeps` passes. Async stripes recompute their
+/// unique columns from the survivors, so fetches shrink, and a fully masked
+/// stripe yields no columns, which the executor skips without a transfer.
+struct MaskedSource<'a, P> {
+    matrices: &'a RankMatrices,
+    keeps: P,
+    entries: Vec<SmallTriplet>,
+    unique_cols: Vec<u32>,
+}
+
+impl<P: Fn(&&SmallTriplet) -> bool> StripeSource for MaskedSource<'_, P> {
+    fn for_each_async<F>(&mut self, mut visit: F) -> Result<(), RankError>
+    where
+        F: FnMut(AsyncView<'_>) -> Result<(), RankError>,
+    {
+        let MaskedSource { matrices, keeps, entries, unique_cols } = self;
+        let keeps = &*keeps;
+        for stripe in matrices.asynchronous.stripes() {
+            entries.clear();
+            entries.extend(stripe.entries_row_major().iter().filter(keeps));
+            // Column-major order makes the filtered UniqueColIDs one scan.
+            unique_cols.clear();
+            for t in stripe.entries.iter().filter(keeps) {
+                if unique_cols.last() != Some(&t.col) {
+                    unique_cols.push(t.col);
+                }
+            }
+            visit(AsyncView { stripe: stripe.stripe, entries, unique_cols })?;
+        }
+        Ok(())
+    }
+
+    fn sync_work(&self) -> (usize, usize) {
+        // The panel schedule is fixed by preprocessing; only the work shrinks.
+        let sync_local = &self.matrices.sync_local;
+        (sync_local.entries().iter().filter(&self.keeps).count(), sync_local.num_nonempty_panels())
+    }
+
+    fn for_each_sync_chunk<F>(&mut self, mut visit: F) -> Result<(), RankError>
+    where
+        F: FnMut(&[SmallTriplet]),
+    {
+        self.entries.clear();
+        self.entries.extend(self.matrices.sync_local.entries().iter().filter(&self.keeps));
+        visit(&self.entries);
+        Ok(())
+    }
+}
+
 /// Runs one sampled Two-Face SpMM epoch against a fixed plan.
 ///
 /// The plan must come from the *full* matrix's one-time preprocessing; the
@@ -112,8 +164,11 @@ pub struct SampledReport {
 ///
 /// # Errors
 ///
-/// Returns [`RunError::ValidationFailed`] when `options.validate` is set and
-/// the output disagrees with a serial SpMM over the masked matrix.
+/// * [`RunError::TransferTimeout`] / [`RunError::RankStalled`] (with the
+///   failing rank's flight-recorder tail) when `options.fault_plan` injects
+///   faults the retry budget cannot absorb;
+/// * [`RunError::ValidationFailed`] when `options.validate` is set and the
+///   output disagrees with a serial SpMM over the masked matrix.
 pub fn run_sampled_twoface(
     problem: &Problem,
     plan: Arc<PartitionPlan>,
@@ -122,45 +177,31 @@ pub fn run_sampled_twoface(
     options: &RunOptions,
 ) -> Result<SampledReport, RunError> {
     let k = problem.k();
-    let workers = crate::pool::resolve_workers(options.workers);
-    let exec = ExecOpts {
-        k,
-        compute: options.compute_values || options.validate,
-        panel_height: options.config.row_panel_height,
-        workers,
-    };
-    let effective = options.config.effective_cost(cost);
-    let data = TwoFaceData::build(problem, plan, &options.config, &crate::pool::Pool::new(workers));
-    let p = problem.layout.nodes();
-    let cluster = Cluster::new(p, effective);
+    let exec = ExecOpts::from_run(options, k);
+    let config = &options.config;
+    let data = TwoFaceData::build(problem, plan, config, &crate::pool::Pool::new(exec.workers));
+    let resolved = resolve_observability(&options.observability);
+    let cluster = Cluster::new(problem.layout.nodes(), config.effective_cost(cost));
     cluster.set_fault_plan(options.fault_plan.clone());
-    cluster.set_observability(options.observability.clone());
-    let outputs = cluster
-        .run(|ctx| twoface_rank_masked(ctx, &data, problem, &options.config, &exec, Some(&mask)));
-
-    let mut rank_results = Vec::with_capacity(p);
-    for o in &outputs {
-        match &o.result {
-            Ok(block) => rank_results.push(block),
-            Err(e) => return Err(RunError::from_net(o.rank, e.clone())),
-        }
-    }
-    let seconds = outputs.iter().map(|o| o.finish_time().seconds()).fold(0.0, f64::max);
-    let elements_received = outputs.iter().map(|o| o.trace.elements_received).sum();
-    let mut metrics = MetricsRegistry::new();
-    for o in &outputs {
-        metrics.merge(&o.metrics);
-    }
+    cluster.set_observability(resolved.observability.clone());
+    let outputs = cluster.run(|ctx| {
+        let rank = ctx.rank();
+        let rows = problem.layout.row_range(rank);
+        let mut source = MaskedSource {
+            matrices: &data.rank_matrices[rank],
+            keeps: |t: &&SmallTriplet| mask.is_active(rows.start + t.row(), t.col()),
+            entries: Vec::new(),
+            unique_cols: Vec::new(),
+        };
+        let mut kernel = SpmmKernel::new(rows.len(), config, &exec);
+        let b_block = &data.b_blocks[rank];
+        execute_twoface(ctx, &data.plan, b_block, config, &exec, &mut source, &mut kernel)?;
+        Ok(kernel.c_local)
+    });
+    let name = "Two-Face (sampled)".to_string();
+    let (report, blocks) = collect_run(outputs, &resolved, name, k, 0)?;
     let sampled = mask.apply(&problem.a);
-    let output = if exec.compute {
-        let mut flat = Vec::with_capacity(problem.a.rows() * k);
-        for block in &rank_results {
-            flat.extend_from_slice(block);
-        }
-        Some(DenseMatrix::from_vec(problem.a.rows(), k, flat).expect("blocks tile C"))
-    } else {
-        None
-    };
+    let output = exec.compute.then(|| tile_c(blocks, problem.a.rows(), k));
     if options.validate {
         let got = output.as_ref().expect("validate implies compute");
         let want = reference_spmm(&sampled, &problem.b);
@@ -168,7 +209,13 @@ pub fn run_sampled_twoface(
             return Err(RunError::ValidationFailed { max_abs_diff: got.max_abs_diff(&want) });
         }
     }
-    Ok(SampledReport { seconds, elements_received, active_nnz: sampled.nnz(), metrics, output })
+    Ok(SampledReport {
+        seconds: report.seconds,
+        elements_received: report.elements_received,
+        active_nnz: sampled.nnz(),
+        metrics: report.metrics,
+        output,
+    })
 }
 
 #[cfg(test)]
@@ -271,6 +318,19 @@ mod tests {
             full.elements_received
         );
         assert!(sampled.seconds <= full.seconds + 1e-12);
+    }
+
+    #[test]
+    fn sampled_transfer_failures_are_typed_with_a_flight_tail() {
+        let (problem, plan, cost) = fixture();
+        let options = RunOptions {
+            fault_plan: Some(twoface_net::FaultPlan::seeded(3).with_get_failure_rate(1.0)),
+            ..Default::default()
+        };
+        let mask = EdgeSampler::new(0.6, 11).mask(0);
+        let err = run_sampled_twoface(&problem, plan, mask, &cost, &options).unwrap_err();
+        assert!(matches!(err, RunError::TransferTimeout { .. }), "{err}");
+        assert!(!err.flight().is_empty(), "the failing rank's flight tail is attached: {err}");
     }
 
     #[test]

@@ -9,17 +9,17 @@
 //! access pattern of SpMM's `B`. The same partition plan, dense-stripe
 //! multicasts, and coalesced one-sided gets therefore apply unchanged; only
 //! the local kernel differs (a dot product per nonzero instead of an axpy).
+//! Both run through one executor (`algo::twoface::execute_twoface`), so
+//! SDDMM pays exactly SpMM's charges under either async layout.
 
-use crate::algo::twoface::TwoFaceData;
-use crate::coalesce::coalesce_rows;
-use crate::config::TwoFaceConfig;
-use crate::kernels::{BlockRows, FetchedRows, RowSource};
-use crate::runner::Problem;
-use crate::{prepare_plan, RunError, RunOptions};
-use std::sync::Arc;
-use twoface_matrix::{CooMatrix, DenseMatrix, Entry, Scalar, Triplet};
-use twoface_net::{Cluster, CostModel, Lane, MetricsRegistry, NetError, PhaseClass};
-use twoface_partition::{ModelCoefficients, PartitionPlan, StripeClass};
+use crate::algo::twoface::{execute_twoface, LaneKernel, ResidentSource, TwoFaceData};
+use crate::kernels::{RowCursor, RowSource};
+use crate::pool::Pool;
+use crate::runner::{collect_run, resolve_observability, resolve_plan, ExecOpts, Problem};
+use crate::{RunError, RunOptions};
+use twoface_matrix::{CooMatrix, DenseMatrix, Entry, Scalar, SmallTriplet, Triplet};
+use twoface_net::{Cluster, CostModel, Lane, MetricsRegistry};
+use twoface_partition::StripeClass;
 
 /// Which communication schedule an SDDMM run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +52,8 @@ pub struct SddmmReport {
     pub seconds: f64,
     /// Total dense elements of `Y` received across ranks.
     pub elements_received: u64,
+    /// Total communication operations issued across ranks.
+    pub messages: u64,
     /// Counters and histograms merged across ranks (empty unless
     /// [`RunOptions::observability`] enabled recording).
     pub metrics: MetricsRegistry,
@@ -83,13 +85,15 @@ fn dot(a: &[Scalar], b: &[Scalar]) -> Scalar {
 /// Runs a distributed SDDMM.
 ///
 /// `problem.b` plays the role of `Y` (distributed like SpMM's `B`); `x` is
-/// the row-aligned dense factor (each rank holds its row block). Reuses the
-/// SpMM partition plan machinery verbatim.
+/// the row-aligned dense factor (each rank holds its row block). Plans are
+/// resolved as for SpMM, and the ranks run SpMM's Two-Face executor with a
+/// dot-product kernel, so every transfer and charge is SpMM's.
 ///
 /// # Errors
 ///
-/// Returns [`RunError::Shape`] for mismatched factors and propagates
-/// validation failures when `options.validate` is set.
+/// Returns [`RunError::Shape`] for mismatched factors, the typed transfer
+/// errors of an installed `options.fault_plan`, and
+/// [`RunError::ValidationFailed`] when `options.validate` is set.
 pub fn run_sddmm(
     algorithm: SddmmAlgorithm,
     problem: &Problem,
@@ -110,81 +114,38 @@ pub fn run_sddmm(
         });
     }
     let effective = options.config.effective_cost(cost);
-    let coefficients = options.coefficients.unwrap_or_else(|| ModelCoefficients::from(&effective));
-    let plan: Arc<PartitionPlan> = match (&options.plan, algorithm) {
-        (Some(plan), _) => Arc::clone(plan),
-        (None, SddmmAlgorithm::AsyncFine) => Arc::new(PartitionPlan::build_uniform(
-            &problem.a,
-            problem.layout.clone(),
-            k,
-            StripeClass::Async,
-        )),
-        (None, SddmmAlgorithm::Allgather) => Arc::new(PartitionPlan::build_uniform(
-            &problem.a,
-            problem.layout.clone(),
-            k,
-            StripeClass::Sync,
-        )),
-        (None, SddmmAlgorithm::TwoFace) => {
-            Arc::new(prepare_plan(problem, &coefficients, &effective))
-        }
+    let exec = ExecOpts::from_run(options, k);
+    let uniform = match algorithm {
+        SddmmAlgorithm::TwoFace => None,
+        SddmmAlgorithm::AsyncFine => Some(StripeClass::Async),
+        SddmmAlgorithm::Allgather => Some(StripeClass::Sync),
     };
-    let pool = crate::pool::Pool::new(crate::pool::resolve_workers(options.workers));
-    let data = TwoFaceData::build(problem, plan, &options.config, &pool);
-    let compute = options.compute_values || options.validate;
-
-    let p = problem.layout.nodes();
-    // Honor the same env knobs as the SpMM runners: `TWOFACE_TRACE` forces
-    // full tracing, `TWOFACE_PROFILE` folds this run into the merged
-    // per-(phase, op-kind) profile artifact next to the report.
-    let resolved = crate::runner::resolve_observability(&options.observability);
-    let cluster = Cluster::new(p, effective);
+    let plan = resolve_plan(problem, options, uniform, &effective, exec.workers);
+    let config = &options.config;
+    let data = TwoFaceData::build(problem, plan, config, &Pool::new(exec.workers));
+    let resolved = resolve_observability(&options.observability);
+    let cluster = Cluster::new(problem.layout.nodes(), effective);
     cluster.set_fault_plan(options.fault_plan.clone());
     cluster.set_observability(resolved.observability.clone());
-    let outputs =
-        cluster.run(|ctx| sddmm_rank(ctx, &data, problem, x, &options.config, compute, algorithm));
-
-    let rank_traces: Vec<_> = outputs.iter().map(|o| o.trace.clone()).collect();
-    let rank_events: Vec<_> = outputs.iter().map(|o| o.events.clone()).collect();
-    if let Some(path) = &resolved.trace_path {
-        crate::runner::write_trace_file(
-            path,
-            &rank_events,
-            &rank_traces,
-            resolved.observability.wall_time,
-        );
-    }
-    if let Some(path) = &resolved.profile_path {
-        crate::runner::write_profile_file(path, &rank_events);
-    }
-
-    let mut rank_results = Vec::with_capacity(p);
-    for o in &outputs {
-        match &o.result {
-            Ok(triplets) => rank_results.push(triplets),
-            Err(e) => {
-                return Err(RunError::from_net_with_flight(o.rank, e.clone(), o.flight.clone()))
-            }
-        }
-    }
-    let seconds = outputs.iter().map(|o| o.finish_time().seconds()).fold(0.0, f64::max);
-    let elements_received = outputs.iter().map(|o| o.trace.elements_received).sum();
-    let mut metrics = MetricsRegistry::new();
-    for o in &outputs {
-        metrics.merge(&o.metrics);
-    }
-    let output = if compute {
-        let mut triplets: Vec<Triplet> = Vec::with_capacity(problem.a.nnz());
-        for r in &rank_results {
-            triplets.extend_from_slice(r);
-        }
-        Some(
-            CooMatrix::from_triplets(problem.a.rows(), problem.a.cols(), triplets)
-                .expect("pattern coordinates stay in bounds"),
-        )
-    } else {
-        None
-    };
+    let outputs = cluster.run(|ctx| {
+        let rank = ctx.rank();
+        let matrices = &data.rank_matrices[rank];
+        let mut kernel = SddmmKernel {
+            x,
+            row_base: problem.layout.row_range(rank).start,
+            out: Vec::with_capacity(matrices.nnz()),
+        };
+        let b_block = &data.b_blocks[rank];
+        let mut source = ResidentSource(matrices);
+        execute_twoface(ctx, &data.plan, b_block, config, &exec, &mut source, &mut kernel)?;
+        Ok(kernel.out)
+    });
+    let (report, rank_triplets) = collect_run(outputs, &resolved, algorithm.to_string(), k, 0)?;
+    let output = exec.compute.then(|| {
+        let triplets: Vec<Triplet> = rank_triplets.into_iter().flatten().collect();
+        CooMatrix::from_triplets(problem.a.rows(), problem.a.cols(), triplets)
+            .expect("pattern coordinates stay in bounds")
+    });
     if options.validate {
         let got = output.as_ref().expect("validate implies compute");
         let want = reference_sddmm(&problem.a, x, &problem.b);
@@ -198,106 +159,46 @@ pub fn run_sddmm(
         }
     }
     Ok(SddmmReport {
-        algorithm: algorithm.to_string(),
-        seconds,
-        elements_received,
-        metrics,
+        algorithm: report.algorithm,
+        seconds: report.seconds,
+        elements_received: report.elements_received,
+        messages: report.messages,
+        metrics: report.metrics,
         output,
     })
 }
 
-/// Per-rank SDDMM body: Two-Face's transfer schedule with dot-product
-/// kernels. Returns the rank's output triplets in global coordinates.
-fn sddmm_rank(
-    ctx: &mut twoface_net::RankCtx,
-    data: &TwoFaceData,
-    problem: &Problem,
-    x: &DenseMatrix,
-    config: &TwoFaceConfig,
-    compute: bool,
-    _algorithm: SddmmAlgorithm,
-) -> Result<Vec<Triplet>, NetError> {
-    let rank = ctx.rank();
-    let layout = &problem.layout;
-    let k = problem.k();
-    let plan = &data.plan;
-    let matrices = &data.rank_matrices[rank];
-    let my_cols = layout.col_range(rank);
-    let row_base = layout.row_range(rank).start;
+/// SDDMM's per-entry work: one dot product of the entry's `X` row with its
+/// `Y` row, scaled by the entry's value, emitted as a global triplet.
+struct SddmmKernel<'a> {
+    x: &'a DenseMatrix,
+    /// Global row of the rank's first local row.
+    row_base: usize,
+    out: Vec<Triplet>,
+}
 
-    let win = ctx.create_window(Arc::clone(&data.b_blocks[rank]))?;
-
-    // Sync lane: identical dense-stripe multicasts (now carrying Y rows).
-    let mut stripe_buffers = BlockRows::new(k);
-    stripe_buffers.add_block(my_cols.clone(), Arc::clone(&data.b_blocks[rank]));
-    for stripe in 0..layout.num_stripes() {
-        let Some(group) = plan.multicast_group(stripe) else {
-            continue;
-        };
-        if !group.contains(&rank) {
-            continue;
+impl LaneKernel for SddmmKernel<'_> {
+    fn compute(
+        &mut self,
+        _: &Pool,
+        _: Lane,
+        entries: &[SmallTriplet],
+        rows: &impl RowSource,
+    ) -> usize {
+        let mut cursor = RowCursor::default();
+        for t in entries {
+            let row = self.row_base + t.row();
+            let value = t.val * dot(self.x.row(row), rows.row_with(&mut cursor, t.col()));
+            self.out.push(Triplet::new(row, t.col(), value));
         }
-        let owner = layout.stripe_owner(stripe);
-        let payload = (owner == rank).then(|| {
-            // Zero-copy stripe view, as in the SpMM sync lane.
-            let cols = layout.stripe_cols(stripe);
-            let lo = (cols.start - my_cols.start) * k;
-            let hi = (cols.end - my_cols.start) * k;
-            twoface_net::Payload::from(Arc::clone(&data.b_blocks[rank])).subslice(lo..hi)
-        });
-        let buf = ctx.multicast(stripe as u64, owner, &group, payload)?;
-        if owner != rank {
-            stripe_buffers.add_block(layout.stripe_cols(stripe), buf);
-        }
+        1
     }
-
-    let mut out: Vec<Triplet> = Vec::with_capacity(matrices.nnz());
-
-    // Async lane: coalesced gets + column-major dot products.
-    let max_distance = config.max_coalesce_distance(k);
-    for stripe in matrices.asynchronous.stripes() {
-        let owner = layout.stripe_owner(stripe.stripe);
-        let col_base = layout.col_range(owner).start;
-        let owner_local: Vec<usize> =
-            stripe.unique_cols.iter().map(|&c| c as usize - col_base).collect();
-        let (runs, _) = coalesce_rows(&owner_local, max_distance);
-        let fetched = ctx.win_rget_rows(win, owner, &runs, k)?;
-        let cost = ctx.cost().async_compute_cost(stripe.nnz(), k, 1);
-        ctx.advance_span(Lane::Async, cost, PhaseClass::AsyncComp, (stripe.nnz() * k) as u64, None);
-        if compute {
-            let rows_src = FetchedRows::new(&runs, col_base, fetched, k);
-            for t in &stripe.entries {
-                let value = t.val * dot(x.row(row_base + t.row()), rows_src.row(t.col()));
-                out.push(Triplet::new(row_base + t.row(), t.col(), value));
-            }
-        }
-    }
-
-    // Sync lane: row-panel dot products over sync/local-input entries.
-    let sync_local = &matrices.sync_local;
-    if sync_local.nnz() > 0 {
-        let cost =
-            ctx.cost().sync_compute_cost(sync_local.nnz(), k, sync_local.num_nonempty_panels());
-        ctx.advance_span(
-            Lane::Sync,
-            cost,
-            PhaseClass::SyncComp,
-            (sync_local.nnz() * k) as u64,
-            None,
-        );
-        if compute {
-            for t in sync_local.entries() {
-                let value = t.val * dot(x.row(row_base + t.row()), stripe_buffers.row(t.col()));
-                out.push(Triplet::new(row_base + t.row(), t.col(), value));
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use twoface_matrix::gen::{webcrawl, WebcrawlConfig};
 
     fn fixture() -> (Problem, DenseMatrix) {
@@ -362,14 +263,30 @@ mod tests {
 
     #[test]
     fn sddmm_moves_same_data_as_spmm() {
-        // The communication schedule is identical to SpMM's: same plan, same
-        // transfers, so the same element volume moves.
+        // The communication schedule and every charge are SpMM's: same plan,
+        // same executor, so the same volume moves in the same simulated
+        // time — under either async layout.
+        use crate::config::{AsyncLayout, TwoFaceConfig};
+        use crate::Algorithm;
         let (problem, x) = fixture();
         let cost = CostModel::delta_scaled();
-        let options = RunOptions { compute_values: false, ..Default::default() };
-        let sddmm = run_sddmm(SddmmAlgorithm::TwoFace, &problem, &x, &cost, &options).unwrap();
-        let spmm =
-            crate::run_algorithm(crate::Algorithm::TwoFace, &problem, &cost, &options).unwrap();
-        assert_eq!(sddmm.elements_received, spmm.elements_received);
+        for layout in [AsyncLayout::ColumnMajor, AsyncLayout::RowMajor] {
+            let options = RunOptions {
+                compute_values: false,
+                config: TwoFaceConfig { async_layout: layout, ..Default::default() },
+                ..Default::default()
+            };
+            for (sddmm_algo, spmm_algo) in [
+                (SddmmAlgorithm::TwoFace, Algorithm::TwoFace),
+                (SddmmAlgorithm::AsyncFine, Algorithm::AsyncFine),
+            ] {
+                let sddmm = run_sddmm(sddmm_algo, &problem, &x, &cost, &options).unwrap();
+                let spmm = crate::run_algorithm(spmm_algo, &problem, &cost, &options).unwrap();
+                let case = format!("{sddmm_algo} under {layout:?}");
+                assert_eq!(sddmm.seconds.to_bits(), spmm.seconds.to_bits(), "{case}");
+                assert_eq!(sddmm.elements_received, spmm.elements_received, "{case}");
+                assert_eq!(sddmm.messages, spmm.messages, "{case}");
+            }
+        }
     }
 }

@@ -22,10 +22,11 @@
 //!    ([`RankMatrices::build_from_rows`]) and serialize them to a per-rank
 //!    store file: async stripes first (ascending), sync entries last — the
 //!    order execution consumes them, so reads are purely sequential.
-//! 5. **Execute** — run the Two-Face executor with per-stripe
-//!    materialize→compute→drop on the async lane and row-aligned chunking
-//!    on the sync lane, so peak memory is the dense operands plus a few
-//!    panels of sparse entries per rank.
+//! 5. **Execute** — run the resident path's Two-Face executor over a
+//!    store-reading stripe source: per-stripe materialize→compute→drop on
+//!    the async lane and row-aligned chunking on the sync lane, so peak
+//!    memory is the dense operands plus a few panels of sparse entries per
+//!    rank. A store read that fails mid-run is a typed [`RunError::Io`].
 //!
 //! The correctness contract is *bit-identity*: at any scale where the
 //! resident path also fits, the streamed run's output `C`, simulated
@@ -33,21 +34,19 @@
 //! resident [`run_algorithm`](crate::run_algorithm)'s exactly (the
 //! differential suite in `tests/streamed_pipeline.rs` enforces this).
 
-use crate::algo::twoface::planned_memory_extra;
-use crate::coalesce::coalesce_rows;
-use crate::config::TwoFaceConfig;
-use crate::error::RunError;
-use crate::format::RankMatrices;
-use crate::kernels::{
-    par_async_stripe, par_sync_panels, sync_panel_kernel, BlockRows, FetchedRows,
+use crate::algo::twoface::{
+    execute_twoface, planned_memory_extra, AsyncView, SpmmKernel, StripeSource,
 };
-use crate::pool::{resolve_workers, Pool, WallTimer};
+use crate::config::TwoFaceConfig;
+use crate::error::{RankError, RunError};
+use crate::format::RankMatrices;
+use crate::pool::resolve_workers;
 use crate::runner::{
-    generated_b_block, resolve_observability, write_profile_file, write_trace_file, Breakdown,
-    ExecOpts, ExecutionReport, ResolvedObservability, NNZ_BYTES,
+    base_bytes, collect_run, generated_b_block, node_memory_peak, resolve_observability,
+    sync_buffer_budget, tile_c, ExecOpts, ExecutionReport, ResolvedObservability, NNZ_BYTES,
 };
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write as _};
+use std::io::{self, BufReader, BufWriter, Read, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,8 +54,7 @@ use std::time::Instant;
 use twoface_matrix::gen::TripletSource;
 use twoface_matrix::{normalize_triplets, SmallTriplet, Triplet, SCALAR_BYTES};
 use twoface_net::{
-    Cluster, CostModel, Lane, MetricsRegistry, NetError, Observability, OpEvent, OpKind, Payload,
-    PhaseClass, RankCtx, RankTrace,
+    Cluster, CostModel, Lane, MetricsRegistry, Observability, OpEvent, OpKind, PhaseClass,
 };
 use twoface_partition::{
     ClassifierKind, ModelCoefficients, NodeProfile, OneDimLayout, PartitionPlan, PlanOptions,
@@ -293,15 +291,10 @@ impl PipelineTelemetry {
 
     /// Appends the driver events to rank 0's stream (renumbered to continue
     /// its sequence) and returns the pipeline metrics for merging.
-    fn attach(self, rank_events: &mut [Vec<OpEvent>]) -> MetricsRegistry {
-        if self.enabled && !rank_events.is_empty() {
-            let stream = &mut rank_events[0];
-            let base = stream.last().map_or(0, |e| e.seq + 1);
-            for (i, mut event) in self.events.into_iter().enumerate() {
-                event.seq = base + i as u64;
-                stream.push(event);
-            }
-        }
+    fn attach(self, rank0_events: &mut Vec<OpEvent>) -> MetricsRegistry {
+        let base = rank0_events.last().map_or(0, |e| e.seq + 1);
+        let renumbered = self.events.into_iter().zip(base..).map(|(e, seq)| OpEvent { seq, ..e });
+        rank0_events.extend(renumbered);
         self.metrics
     }
 }
@@ -325,6 +318,17 @@ fn read_wide(input: &mut impl Read) -> std::io::Result<Triplet> {
     let col = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")) as usize;
     let val = f64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"));
     Ok(Triplet::new(row, col, val))
+}
+
+/// Reads the `count` wide triplets of the `what` shard file at `path`.
+fn read_shard(path: &Path, count: usize, what: &str) -> Result<Vec<Triplet>, RunError> {
+    let file = File::open(path).map_err(|e| io_err(&format!("opening {what}"), e))?;
+    let mut reader = BufReader::new(file);
+    let mut shard = Vec::with_capacity(count);
+    for _ in 0..count {
+        shard.push(read_wide(&mut reader).map_err(|e| io_err(&format!("reading {what}"), e))?);
+    }
+    Ok(shard)
 }
 
 fn write_small(out: &mut impl std::io::Write, t: &SmallTriplet) -> std::io::Result<()> {
@@ -443,7 +447,8 @@ fn write_store(path: PathBuf, matrices: &RankMatrices) -> Result<RankStore, RunE
 ///   exceeds [`StreamOptions::memory_budget`];
 /// * [`RunError::OutOfMemory`] under the same *simulated* per-node gate as
 ///   the resident path;
-/// * [`RunError::Io`] when spill or store files cannot be written.
+/// * [`RunError::Io`] when spill or store files cannot be written or read
+///   back (naming the rank and the store path).
 pub fn run_twoface_streamed(
     source: &mut dyn TripletSource,
     k: usize,
@@ -530,19 +535,11 @@ pub fn run_twoface_streamed(
     let norm_paths: Vec<PathBuf> = (0..p).map(|r| spill.path(format!("norm.{r}"))).collect();
     pass_started = Instant::now();
     for rank in 0..p {
-        let mut shard: Vec<Triplet> = Vec::new();
-        {
-            let file = File::open(&raw_paths[rank]).map_err(|e| io_err("opening raw shard", e))?;
-            let raw_len =
-                file.metadata().map_err(|e| io_err("sizing raw shard", e))?.len() as usize;
-            telemetry.spill_read(rank, raw_len as u64);
-            let count = raw_len / NNZ_BYTES;
-            shard.reserve_exact(count);
-            let mut reader = BufReader::new(file);
-            for _ in 0..count {
-                shard.push(read_wide(&mut reader).map_err(|e| io_err("reading raw shard", e))?);
-            }
-        }
+        let raw_len = std::fs::metadata(&raw_paths[rank])
+            .map_err(|e| io_err("sizing raw shard", e))?
+            .len() as usize;
+        telemetry.spill_read(rank, raw_len as u64);
+        let mut shard = read_shard(&raw_paths[rank], raw_len / NNZ_BYTES, "raw shard")?;
         peak_shard_bytes = peak_shard_bytes.max(shard.len() * NNZ_BYTES);
         normalize_triplets(&mut shard);
         profiles.push(NodeProfile::build_from_rows(&shard, &layout, rank));
@@ -567,16 +564,8 @@ pub fn run_twoface_streamed(
 
     // --- Pass 3: classify from profiles, with the resident budget rule. ---
     pass_started = Instant::now();
-    let base_all: Vec<usize> = (0..p)
-        .map(|rank| {
-            nnz_by_rank[rank] * NNZ_BYTES
-                + layout.col_range(rank).len() * k * SCALAR_BYTES
-                + layout.row_range(rank).len() * k * SCALAR_BYTES
-        })
-        .collect();
-    let base_max = base_all.iter().copied().max().unwrap_or(0);
-    let fetch_allowance = 2 * stripe_width * k * SCALAR_BYTES;
-    let sync_budget = effective.memory_per_node.saturating_sub(base_max + fetch_allowance);
+    let base_all = base_bytes(&layout, k, |rank| nnz_by_rank[rank]);
+    let sync_budget = sync_buffer_budget(&base_all, &layout, k, &effective);
     let plan = Arc::new(PartitionPlan::build_from_profiles(
         profiles,
         layout.clone(),
@@ -590,17 +579,9 @@ pub fn run_twoface_streamed(
     ));
 
     // Simulated per-node gate, identical to the resident staging gate.
-    let (worst_rank, required_sim) = (0..p)
-        .map(|rank| (rank, base_all[rank] + planned_memory_extra(&plan, k, rank)))
-        .max_by_key(|&(_, bytes)| bytes)
-        .expect("at least one rank");
-    if required_sim > effective.memory_per_node {
-        return Err(RunError::OutOfMemory {
-            rank: worst_rank,
-            required: required_sim,
-            available: effective.memory_per_node,
-        });
-    }
+    let required_sim = node_memory_peak(p, effective.memory_per_node, |rank| {
+        base_all[rank] + planned_memory_extra(&plan, k, rank)
+    })?;
 
     // Host working-set estimate: the worst of the build pass (one shard plus
     // its structures) and the execute pass (dense operands plus every rank's
@@ -641,18 +622,8 @@ pub fn run_twoface_streamed(
     let mut stores: Vec<RankStore> = Vec::with_capacity(p);
     let mut store_bytes = 0u64;
     for rank in 0..p {
-        let mut shard: Vec<Triplet> = Vec::with_capacity(nnz_by_rank[rank]);
-        {
-            telemetry.spill_read(rank, (nnz_by_rank[rank] * NNZ_BYTES) as u64);
-            let mut reader = BufReader::new(
-                File::open(&norm_paths[rank]).map_err(|e| io_err("opening normalized shard", e))?,
-            );
-            for _ in 0..nnz_by_rank[rank] {
-                shard.push(
-                    read_wide(&mut reader).map_err(|e| io_err("reading normalized shard", e))?,
-                );
-            }
-        }
+        telemetry.spill_read(rank, (nnz_by_rank[rank] * NNZ_BYTES) as u64);
+        let shard = read_shard(&norm_paths[rank], nnz_by_rank[rank], "normalized shard")?;
         let matrices =
             RankMatrices::build_from_rows(&shard, &plan, rank, options.config.row_panel_height);
         drop(shard);
@@ -696,269 +667,147 @@ pub fn run_twoface_streamed(
     }
     let cluster = Cluster::new(p, effective);
     cluster.set_observability(resolved.observability.clone());
-    let outputs = cluster.run(|ctx| {
-        twoface_rank_streamed(ctx, &plan, &stores[ctx.rank()], &b_blocks, options, &exec)
+    let config = &options.config;
+    let mut outputs = cluster.run(|ctx| {
+        let rank = ctx.rank();
+        let mut source = StoreSource { rank, store: &stores[rank], reader: None };
+        let mut kernel = SpmmKernel::new(layout.row_range(rank).len(), config, &exec);
+        execute_twoface(ctx, &plan, &b_blocks[rank], config, &exec, &mut source, &mut kernel)?;
+        Ok(kernel.c_local)
     });
     telemetry.pass(5, realized_nnz as u64, pass_started);
 
     debug_rss("pass5 execute");
-    let rank_traces: Vec<RankTrace> = outputs.iter().map(|o| o.trace.clone()).collect();
-    let mut rank_events: Vec<Vec<OpEvent>> = outputs.iter().map(|o| o.events.clone()).collect();
-    let mut metrics = MetricsRegistry::new();
-    for o in &outputs {
-        metrics.merge(&o.metrics);
+    let metrics = telemetry.attach(&mut outputs[0].events);
+    let name = "TwoFace (streamed)".to_string();
+    let (mut report, blocks) = collect_run(outputs, &resolved, name, k, required_sim)?;
+    report.metrics.merge(&metrics);
+    if exec.compute {
+        report.output = Some(tile_c(blocks, rows, k));
     }
-    metrics.merge(&telemetry.attach(&mut rank_events));
-    // Export before inspecting results, as the resident runner does: a
-    // faulted run still leaves its trace and profile behind for forensics.
-    if let Some(path) = &resolved.trace_path {
-        write_trace_file(path, &rank_events, &rank_traces, resolved.observability.wall_time);
-    }
-    if let Some(path) = &resolved.profile_path {
-        write_profile_file(path, &rank_events);
-    }
-    let mut rank_results = Vec::with_capacity(p);
-    for o in &outputs {
-        match &o.result {
-            Ok(block) => rank_results.push(block),
-            Err(e) => {
-                return Err(RunError::from_net_with_flight(o.rank, e.clone(), o.flight.clone()))
-            }
-        }
-    }
-    let critical_rank =
-        outputs.iter().max_by_key(|o| o.finish_time()).expect("at least one rank").rank;
-    let seconds = outputs[critical_rank].finish_time().seconds();
-    let critical_breakdown = Breakdown::from_trace(&outputs[critical_rank].trace);
-    let mut mean_breakdown = Breakdown::default();
-    let mut elements_received = 0u64;
-    let mut messages = 0u64;
-    let mut recipients: Vec<usize> = Vec::new();
-    let mut rank_breakdowns = Vec::with_capacity(p);
-    let mut rank_seconds = Vec::with_capacity(p);
-    let mut faults_injected = 0u64;
-    for o in &outputs {
-        let b = Breakdown::from_trace(&o.trace);
-        mean_breakdown.add(&b);
-        rank_breakdowns.push(b);
-        rank_seconds.push(o.finish_time().seconds());
-        elements_received += o.trace.elements_received;
-        messages += o.trace.messages;
-        recipients.extend_from_slice(&o.trace.multicast_recipients);
-        faults_injected += o.trace.faults_injected();
-    }
-    let mean_breakdown = mean_breakdown.scaled(1.0 / p as f64);
-    let mean_multicast_recipients = if recipients.is_empty() {
-        None
-    } else {
-        Some(recipients.iter().sum::<usize>() as f64 / recipients.len() as f64)
-    };
-    let output = if exec.compute {
-        let mut flat = Vec::with_capacity(rows * k);
-        for block in &rank_results {
-            flat.extend_from_slice(block);
-        }
-        Some(
-            twoface_matrix::DenseMatrix::from_vec(rows, k, flat)
-                .expect("rank blocks tile C exactly"),
-        )
-    } else {
-        None
-    };
-
-    let report = ExecutionReport {
-        algorithm: "TwoFace (streamed)".to_string(),
-        p,
-        k,
-        seconds,
-        critical_rank,
-        critical_breakdown,
-        mean_breakdown,
-        rank_breakdowns,
-        rank_seconds,
-        elements_received,
-        messages,
-        mean_multicast_recipients,
-        rank_traces,
-        faults_injected,
-        rank_events,
-        metrics,
-        memory_peak_bytes: required_sim,
-        output,
-    };
     drop(spill);
     Ok(StreamedRun { report, realized_nnz, spilled_bytes, peak_shard_bytes, estimated_host_bytes })
 }
 
-/// The streamed per-rank executor: the op sequence of
-/// [`twoface_rank`](crate::algo::twoface::twoface_rank) with the rank's
-/// sparse structures read from its store file in consumption order instead
-/// of held resident. Every simulated charge (multicast participation,
-/// coalesced rgets, per-stripe and sync compute costs) is issued in the same
-/// order with the same arguments, so the two executors' clocks agree
-/// exactly.
-///
-/// # Panics
-///
-/// Panics if the store file cannot be read back. The driver checks every
-/// store's length before execution ([`RankStore::verify`]), so this is left
-/// for a file damaged while the ranks run.
-fn twoface_rank_streamed(
-    ctx: &mut RankCtx,
-    plan: &PartitionPlan,
-    store: &RankStore,
-    b_blocks: &[Arc<Vec<f64>>],
-    options: &StreamOptions,
-    opts: &ExecOpts,
-) -> Result<Vec<f64>, NetError> {
-    let rank = ctx.rank();
-    let layout = plan.layout();
-    let config = &options.config;
-    let k = opts.k;
-    let pool = Pool::new(opts.workers);
-    let my_cols = layout.col_range(rank);
-
-    let win = ctx.create_window(Arc::clone(&b_blocks[rank]))?;
-
-    // --- Sync lane: dense stripe transfers, canonical global order. ---
-    let mut stripe_buffers = BlockRows::new(k);
-    stripe_buffers.add_block(my_cols.clone(), Arc::clone(&b_blocks[rank]));
-    for stripe in 0..layout.num_stripes() {
-        let Some(group) = plan.multicast_group(stripe) else {
-            continue;
-        };
-        if !group.contains(&rank) {
-            continue;
-        }
-        let owner = layout.stripe_owner(stripe);
-        let payload = (owner == rank).then(|| {
-            let cols = layout.stripe_cols(stripe);
-            let lo = (cols.start - my_cols.start) * k;
-            let hi = (cols.end - my_cols.start) * k;
-            Payload::from(Arc::clone(&b_blocks[rank])).subslice(lo..hi)
-        });
-        let buf = ctx.multicast(stripe as u64, owner, &group, payload)?;
-        if owner != rank {
-            stripe_buffers.add_block(layout.stripe_cols(stripe), buf);
-        }
+/// Replaces `out` with the next `n` entries of a store.
+fn read_entries(input: &mut impl Read, n: usize, out: &mut Vec<SmallTriplet>) -> io::Result<()> {
+    out.clear();
+    for _ in 0..n {
+        out.push(read_small(input)?);
     }
+    Ok(())
+}
 
-    // --- Async lane: materialize one stripe at a time from the store. ---
-    let file = File::open(&store.path).expect("rank store vanished mid-run");
-    let mut reader = BufReader::new(file);
-    let local_rows = layout.row_range(rank).len();
-    let mut c_local = vec![0.0; local_rows * k];
-    let max_distance = config.max_coalesce_distance(k);
-    let mut fetch_scratch: Vec<f64> = Vec::new();
-    let mut owner_local: Vec<usize> = Vec::new();
-    let row_major = config.async_layout == crate::config::AsyncLayout::RowMajor;
-    for meta in &store.stripes {
-        let mut entries_rm: Vec<SmallTriplet> = Vec::with_capacity(meta.nnz);
-        for _ in 0..meta.nnz {
-            entries_rm.push(read_small(&mut reader).expect("rank store truncated"));
-        }
-        let mut unique_cols: Vec<u32> = Vec::with_capacity(meta.unique);
-        for _ in 0..meta.unique {
-            let mut buf = [0u8; 4];
-            reader.read_exact(&mut buf).expect("rank store truncated");
-            unique_cols.push(u32::from_le_bytes(buf));
-        }
-        let owner = layout.stripe_owner(meta.stripe);
-        debug_assert_ne!(owner, rank, "async stripes are remote-input by construction");
-        let col_base = layout.col_range(owner).start;
-        owner_local.clear();
-        owner_local.extend(unique_cols.iter().map(|&c| c as usize - col_base));
-        let active_nnz = meta.nnz;
-        if row_major {
-            let identify = ctx.cost().identify_cost(active_nnz);
-            ctx.advance(Lane::Async, identify, PhaseClass::AsyncComp);
-        }
-        let (runs, _padding) = coalesce_rows(&owner_local, max_distance);
-        if ctx.events_enabled() {
-            for &(_, len) in &runs {
-                ctx.observe("coalesced_run_rows", len as u64);
-            }
-        }
-        ctx.win_rget_rows_into(win, owner, &runs, k, &mut fetch_scratch)?;
-        let compute_cost = if row_major {
-            let per_element = ctx.cost().gamma_sync
-                * (config.sync_comp_threads as f64 / config.async_comp_threads as f64);
-            per_element * (active_nnz * k) as f64 + ctx.cost().kappa_async
+/// Replaces `out` with the next `n` column ids of a store.
+fn read_cols(input: &mut impl Read, n: usize, out: &mut Vec<u32>) -> io::Result<()> {
+    out.clear();
+    let mut buf = [0u8; 4];
+    for _ in 0..n {
+        input.read_exact(&mut buf)?;
+        out.push(u32::from_le_bytes(buf));
+    }
+    Ok(())
+}
+
+/// Replaces `chunk` with the next sync entries of a store: about
+/// [`SYNC_CHUNK_ENTRIES`], extended so no row is split across chunks.
+/// `remaining` counts the entries still unread; `pending` carries the first
+/// entry of the next row between calls.
+fn read_sync_chunk(
+    input: &mut impl Read,
+    remaining: &mut usize,
+    pending: &mut Option<SmallTriplet>,
+    chunk: &mut Vec<SmallTriplet>,
+) -> io::Result<()> {
+    chunk.clear();
+    chunk.extend(pending.take());
+    while chunk.len() < SYNC_CHUNK_ENTRIES && *remaining > 0 {
+        chunk.push(read_small(input)?);
+        *remaining -= 1;
+    }
+    while *remaining > 0 {
+        let t = read_small(input)?;
+        *remaining -= 1;
+        if chunk.last().is_some_and(|last| last.row == t.row) {
+            chunk.push(t);
         } else {
-            ctx.cost().async_compute_cost(active_nnz, k, 1)
-        };
-        let timer = WallTimer::start(ctx.wall_time_enabled() && opts.compute);
-        if opts.compute {
-            let rows_src = FetchedRows::new(&runs, col_base, std::mem::take(&mut fetch_scratch), k);
-            if row_major {
-                par_sync_panels(&pool, &entries_rm, &rows_src, &mut c_local, k);
-            } else {
-                let spans = par_async_stripe(&pool, &entries_rm, &rows_src, &mut c_local, k);
-                if ctx.wall_time_enabled() {
-                    ctx.observe("host.kernel_spans", spans as u64);
-                }
-            }
-            fetch_scratch = rows_src.into_data();
+            *pending = Some(t);
+            break;
         }
-        ctx.advance_span(
-            Lane::Async,
-            compute_cost,
-            PhaseClass::AsyncComp,
-            (active_nnz * k) as u64,
-            timer.elapsed_nanos(),
-        );
-        // entries drop here: the stripe's footprint is gone before the next
-        // one is materialized.
+    }
+    Ok(())
+}
+
+/// The streamed [`StripeSource`]: one async stripe materialized at a time
+/// from the rank's store, then the sync entries in row-aligned chunks, so
+/// peak memory is the dense operands plus a few panels of sparse entries.
+/// Charges come from the store's metadata, so the clocks match the
+/// resident run exactly.
+struct StoreSource<'a> {
+    rank: usize,
+    store: &'a RankStore,
+    reader: Option<BufReader<File>>,
+}
+
+impl StoreSource<'_> {
+    /// Runs `read` on the store, opened on first use — after the sync-lane
+    /// multicasts, so a failed read never leaves a peer waiting at a
+    /// collective. A failure, the store damaged while the ranks run, is a
+    /// [`RankError::Io`] naming the rank and the store path.
+    fn read<T>(
+        &mut self,
+        read: impl FnOnce(&mut BufReader<File>) -> io::Result<T>,
+    ) -> Result<T, RankError> {
+        let result = match &mut self.reader {
+            Some(reader) => read(reader),
+            None => File::open(&self.store.path)
+                .and_then(|file| read(self.reader.insert(BufReader::new(file)))),
+        };
+        let path = self.store.path.display();
+        result.map_err(|e| RankError::Io(format!("rank {} store {path}: {e}", self.rank)))
+    }
+}
+
+impl StripeSource for StoreSource<'_> {
+    fn for_each_async<F>(&mut self, mut visit: F) -> Result<(), RankError>
+    where
+        F: FnMut(AsyncView<'_>) -> Result<(), RankError>,
+    {
+        // Buffers live for the async phase only: the sync chunk comes after.
+        let (mut entries, mut unique_cols) = (Vec::new(), Vec::new());
+        for meta in &self.store.stripes {
+            self.read(|r| {
+                read_entries(r, meta.nnz, &mut entries)?;
+                read_cols(r, meta.unique, &mut unique_cols)
+            })?;
+            visit(AsyncView { stripe: meta.stripe, entries: &entries, unique_cols: &unique_cols })?;
+        }
+        Ok(())
     }
 
-    // --- Sync lane: row-panel compute in row-aligned chunks. ---
-    // The serial panel kernel over row-aligned spans accumulates each output
-    // row in the same order as the resident parallel driver, so chunking is
-    // invisible in the result; the cost is charged once from the stored
-    // panel statistics, exactly as the resident path charges it.
-    if store.sync_nnz > 0 {
-        let timer = WallTimer::start(ctx.wall_time_enabled() && opts.compute);
-        if opts.compute {
-            let mut remaining = store.sync_nnz;
-            let mut pending: Option<SmallTriplet> = None;
-            let mut chunk: Vec<SmallTriplet> = Vec::new();
-            while remaining > 0 || pending.is_some() {
-                chunk.clear();
-                if let Some(t) = pending.take() {
-                    chunk.push(t);
-                }
-                while chunk.len() < SYNC_CHUNK_ENTRIES && remaining > 0 {
-                    chunk.push(read_small(&mut reader).expect("rank store truncated"));
-                    remaining -= 1;
-                }
-                // Never split a row across chunks: extend to the boundary.
-                while remaining > 0 {
-                    let t = read_small(&mut reader).expect("rank store truncated");
-                    remaining -= 1;
-                    let same_row = chunk.last().is_some_and(|last| last.row == t.row);
-                    if same_row {
-                        chunk.push(t);
-                    } else {
-                        pending = Some(t);
-                        break;
-                    }
-                }
-                sync_panel_kernel(&chunk, &stripe_buffers, &mut c_local, k);
-            }
-        } else {
-            // Structural runs skip the reads too; the clocks only need the
-            // stored statistics below.
-        }
-        let cost = ctx.cost().sync_compute_cost(store.sync_nnz, k, store.nonempty_panels);
-        ctx.advance_span(
-            Lane::Sync,
-            cost,
-            PhaseClass::SyncComp,
-            (store.sync_nnz * k) as u64,
-            timer.elapsed_nanos(),
-        );
+    fn sync_work(&self) -> (usize, usize) {
+        (self.store.sync_nnz, self.store.nonempty_panels)
     }
-    Ok(c_local)
+
+    fn for_each_sync_chunk<F>(&mut self, mut visit: F) -> Result<(), RankError>
+    where
+        F: FnMut(&[SmallTriplet]),
+    {
+        let (mut remaining, mut pending, mut chunk) = (self.store.sync_nnz, None, Vec::new());
+        while remaining > 0 || pending.is_some() {
+            self.read(|r| read_sync_chunk(r, &mut remaining, &mut pending, &mut chunk))?;
+            visit(&chunk);
+        }
+        Ok(())
+    }
+}
+
+/// A memory field of `/proc/self/status` (`VmRSS:`, `VmHWM:`) in bytes;
+/// `None` where the kernel does not expose it.
+fn status_bytes(key: &str) -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with(key))?;
+    Some(line.split_whitespace().nth(1)?.parse::<usize>().ok()? * 1024)
 }
 
 /// Prints the current and peak RSS after a pipeline phase when
@@ -968,14 +817,8 @@ fn debug_rss(label: &str) {
     if std::env::var_os("TWOFACE_STREAM_DEBUG").is_none() {
         return;
     }
-    let read = |key: &str| -> Option<usize> {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        let line = status.lines().find(|l| l.starts_with(key))?;
-        Some(line.split_whitespace().nth(1)?.parse::<usize>().ok()? * 1024)
-    };
-    let cur = read("VmRSS:").map_or(-1.0, |b| b as f64 / (1 << 20) as f64);
-    let peak = read("VmHWM:").map_or(-1.0, |b| b as f64 / (1 << 20) as f64);
-    eprintln!("[stream-rss] {label}: rss {cur:.0} MiB, peak {peak:.0} MiB");
+    let mib = |key: &str| status_bytes(key).map_or(-1.0, |b| b as f64 / (1 << 20) as f64);
+    eprintln!("[stream-rss] {label}: rss {:.0} MiB, peak {:.0} MiB", mib("VmRSS:"), mib("VmHWM:"));
 }
 
 /// The process's peak resident set size (`VmHWM`) in bytes, read from
@@ -983,10 +826,7 @@ fn debug_rss(label: &str) {
 /// expose it. Note the counter is a process-lifetime high-water mark: to
 /// attribute a peak to one phase, measure the cheap phase first.
 pub fn peak_rss_bytes() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: usize = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
+    status_bytes("VmHWM:")
 }
 
 #[cfg(test)]
@@ -1038,6 +878,41 @@ mod tests {
         assert!(matches!(err, RunError::Io { .. }), "{text}");
         assert!(text.contains("rank 1"), "{text}");
         assert!(text.contains(&format!("{} bytes written", store.bytes)), "{text}");
+    }
+
+    #[test]
+    fn store_damaged_mid_run_is_a_typed_error() {
+        // A store cut short after the up-front length check: the rank's
+        // reader fails with `RunError::Io` naming the rank and the store
+        // path, in the async phase or the sync phase, never a panic.
+        use twoface_partition::{OneDimLayout, PartitionPlan, StripeClass};
+        let a = twoface_matrix::gen::erdos_renyi(32, 32, 200, 3);
+        let spill = SpillDir::create(None).unwrap();
+        for class in [StripeClass::Async, StripeClass::Sync] {
+            let plan = PartitionPlan::build_uniform(&a, OneDimLayout::new(32, 32, 2, 4), 8, class);
+            let matrices = RankMatrices::build(&a, &plan, 1, 4);
+            let store = write_store(spill.path(format!("store.{class:?}")), &matrices).unwrap();
+            let short = match class {
+                StripeClass::Async => {
+                    assert!(!store.stripes.is_empty(), "the async case has stripes to read");
+                    10
+                }
+                _ => {
+                    assert!(store.stripes.is_empty() && store.sync_nnz > 0);
+                    store.bytes as u64 - 5
+                }
+            };
+            let file = std::fs::OpenOptions::new().write(true).open(&store.path).unwrap();
+            file.set_len(short).unwrap();
+            let mut source = StoreSource { rank: 1, store: &store, reader: None };
+            let result =
+                source.for_each_async(|_| Ok(())).and_then(|()| source.for_each_sync_chunk(|_| {}));
+            let err = result.unwrap_err().into_run_error(1, Vec::new());
+            let text = err.to_string();
+            assert!(matches!(err, RunError::Io { .. }), "{text}");
+            assert!(text.contains("rank 1"), "{text}");
+            assert!(text.contains(&store.path.display().to_string()), "{text}");
+        }
     }
 
     #[test]

@@ -326,6 +326,65 @@ fn masked_run_matches_serial_reference_under_both_layouts() {
     }
 }
 
+/// A keep-all mask is the identity: the masked source hands the executor
+/// exactly the resident stripes, so a sampled run reproduces
+/// `run_algorithm(TwoFace)` on the same plan bit for bit — output,
+/// simulated seconds and volume — under both async layouts and any worker
+/// count.
+#[test]
+fn keep_all_mask_reproduces_the_unmasked_run_bitwise() {
+    let mut rng = StdRng::seed_from_u64(0xC5_0D);
+    let keep_all = EdgeSampler::new(1.0, 3).mask(0);
+    let cost = CostModel::delta_scaled();
+    // An async-heavy web graph plus random shapes.
+    let web = twoface_matrix::gen::webcrawl(
+        &twoface_matrix::gen::WebcrawlConfig {
+            n: 512,
+            hosts: 16,
+            per_row: 6,
+            intra_host: 0.7,
+            ..Default::default()
+        },
+        55,
+    );
+    let problems = std::iter::once(Problem::with_generated_b(Arc::new(web), 8, 4, 32)).chain(
+        (0..12).map(|_| {
+            let m = random_matrix(&mut rng);
+            let p = 3usize.min(m.rows()).min(m.cols()).max(1);
+            Problem::with_generated_b(Arc::new(m), 4, p, 5)
+        }),
+    );
+    for (case, problem) in problems.enumerate() {
+        let problem = problem.expect("valid");
+        let plan =
+            Arc::new(twoface_core::prepare_plan(&problem, &ModelCoefficients::from(&cost), &cost));
+        for layout in [AsyncLayout::ColumnMajor, AsyncLayout::RowMajor] {
+            for workers in [1, 2] {
+                let options = RunOptions {
+                    config: TwoFaceConfig { async_layout: layout, ..Default::default() },
+                    plan: Some(Arc::clone(&plan)),
+                    workers: Some(workers),
+                    ..Default::default()
+                };
+                let full = run_algorithm(Algorithm::TwoFace, &problem, &cost, &options).unwrap();
+                let sampled =
+                    run_sampled_twoface(&problem, Arc::clone(&plan), keep_all, &cost, &options)
+                        .unwrap();
+                let what = format!("case {case}, {layout:?}, workers {workers}");
+                let bits =
+                    |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(sampled.output.as_ref().unwrap()),
+                    bits(full.output.as_ref().unwrap()),
+                    "{what}: output"
+                );
+                assert_eq!(sampled.seconds.to_bits(), full.seconds.to_bits(), "{what}: seconds");
+                assert_eq!(sampled.elements_received, full.elements_received, "{what}: volume");
+            }
+        }
+    }
+}
+
 #[test]
 fn dense_matrix_add_assign_is_commutative_on_integers() {
     let mut rng = StdRng::seed_from_u64(0xC5_0D);
