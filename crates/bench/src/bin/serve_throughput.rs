@@ -6,8 +6,8 @@
 //!    preprocessing built and wall-timed) followed by a warm request (hit,
 //!    preprocessing skipped). Simulated seconds are identical by
 //!    construction; the delta is host wall time.
-//! 2. **Batched vs solo scheduling** — the same request stream drained
-//!    once (compatible requests fused) and one-at-a-time. Batching runs
+//! 2. **Batched vs solo scheduling** — the same request stream run as one
+//!    fused batch per matrix and one-at-a-time. Batching runs
 //!    fewer, wider executions, which amortizes per-run fixed costs in
 //!    *simulated* time — a delta the single-CPU host cannot fake.
 //! 3. **Chaos resilience** — the stream replayed under a light fault plan:
@@ -19,6 +19,7 @@ use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 use twoface_bench::{banner, write_json};
+use twoface_core::Algorithm;
 use twoface_matrix::gen::{erdos_renyi, rmat, webcrawl, RmatConfig, WebcrawlConfig};
 use twoface_matrix::{CooMatrix, DenseMatrix};
 use twoface_net::{CostModel, FaultPlan};
@@ -111,7 +112,8 @@ struct Results {
 }
 
 /// Runs a request stream through a fresh warm service. `batch` controls
-/// whether the stream drains once (fused) or request-by-request (solo).
+/// whether each matrix's requests execute as one fused batch or
+/// request-by-request (solo).
 fn run_stream(
     matrices: &[(&'static str, usize, Arc<CooMatrix>)],
     fault_plan: Option<FaultPlan>,
@@ -131,15 +133,14 @@ fn run_stream(
     let mut requests = 0usize;
     if batch {
         for (i, (handle, (_, _, a))) in handles.iter().zip(matrices).enumerate() {
-            for r in 0..REQUESTS_PER_MATRIX {
-                let b = dense(a.cols(), K, (i * REQUESTS_PER_MATRIX + r) as u64);
-                service.submit(SpmmRequest::new(*handle, b)).unwrap();
-                requests += 1;
+            let panels: Vec<_> = (0..REQUESTS_PER_MATRIX)
+                .map(|r| dense(a.cols(), K, (i * REQUESTS_PER_MATRIX + r) as u64))
+                .collect();
+            requests += panels.len();
+            for response in service.execute_batch(*handle, Algorithm::TwoFace, &panels).unwrap() {
+                latencies.push(response.sim_seconds);
+                served += usize::from(response.output.is_ok());
             }
-        }
-        for response in service.drain() {
-            latencies.push(response.sim_seconds);
-            served += usize::from(response.output.is_ok());
         }
     } else {
         for (i, (handle, (_, _, a))) in handles.iter().zip(matrices).enumerate() {

@@ -662,9 +662,10 @@ pub fn run_algorithm(
 /// [`run_algorithm`] itself simulates on. `options.fault_plan` and the
 /// resolved observability are installed on the cluster for this run (each
 /// run snapshots them, so concurrent configuration is not disturbed
-/// mid-flight). Window retention is left exactly as the caller configured
-/// it: with [`Cluster::set_window_retention`] enabled, windows created here
-/// survive for later runs.
+/// mid-flight). The windows a run creates are released when it finishes
+/// ([`Cluster::run`] resets the cluster once its ranks join), so what
+/// stays warm across calls is the cluster and the caller's
+/// [`PreparedMatrix`](crate::PreparedMatrix), not RMA windows.
 ///
 /// # Errors
 ///

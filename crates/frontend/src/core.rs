@@ -18,9 +18,7 @@ use crate::timeline::{FrontendEvent, FrontendPhase};
 use twoface_core::Algorithm;
 use twoface_matrix::DenseMatrix;
 use twoface_net::{Histogram, MetricsRegistry, PhaseClass};
-use twoface_serve::{
-    MatrixHandle, ServeError, SessionPhase, SpmmRequest, SpmmResponse, SpmmService,
-};
+use twoface_serve::{MatrixHandle, ServeError, SpmmResponse, SpmmService};
 
 /// Static configuration of the front-end scheduler.
 #[derive(Debug, Clone)]
@@ -198,38 +196,16 @@ pub(crate) struct ReadyBatch {
 
 type GroupKey = (MatrixHandle, Algorithm, usize);
 
-/// Submits a closed batch's members to the service and drains it, pairing
-/// each member with its serve response. Runs *without* the core (so the
-/// threaded shell executes outside its state lock).
+/// Executes a closed batch on the service: one response per member, in
+/// member order. Runs *without* the core (so the threaded shell executes
+/// outside its state lock).
 pub(crate) fn run_batch(
     service: &mut SpmmService,
     batch: &ReadyBatch,
-) -> Vec<(usize, Result<SpmmResponse, ServeError>)> {
-    let mut submitted = Vec::new();
-    let mut outcomes = Vec::new();
-    for (index, member) in batch.members.iter().enumerate() {
-        let request = SpmmRequest {
-            matrix: member.matrix,
-            b: Arc::clone(&member.b),
-            algorithm: member.algorithm,
-        };
-        match service.submit(request) {
-            Ok(id) => submitted.push((index, id)),
-            // Unreachable after admission-time validation, but a member
-            // must never be dropped silently.
-            Err(e) => outcomes.push((index, Err(e))),
-        }
-    }
-    let mut responses = service.drain();
-    for (index, id) in submitted {
-        let at = responses
-            .iter()
-            .position(|r| r.request == id)
-            .expect("drain answers every submitted request");
-        outcomes.push((index, Ok(responses.swap_remove(at))));
-    }
-    outcomes.sort_by_key(|(index, _)| *index);
-    outcomes
+) -> Result<Vec<SpmmResponse>, ServeError> {
+    let first = &batch.members[0];
+    let panels: Vec<Arc<DenseMatrix>> = batch.members.iter().map(|m| Arc::clone(&m.b)).collect();
+    service.execute_batch(first.matrix, first.algorithm, &panels)
 }
 
 /// The front-end state machine. See the module docs.
@@ -614,33 +590,37 @@ impl FrontendCore {
         ordered
     }
 
-    /// Books a batch's outcomes: accounting, metrics, timeline, responses.
+    /// Books a batch's outcome (one response per member, in member order,
+    /// or the error that kept the whole batch from running): accounting,
+    /// metrics, timeline, responses.
     pub(crate) fn complete(
         &mut self,
         batch: ReadyBatch,
-        outcomes: Vec<(usize, Result<SpmmResponse, ServeError>)>,
+        outcome: Result<Vec<SpmmResponse>, ServeError>,
         service: &SpmmService,
     ) -> Vec<FrontendResponse> {
         self.refresh(service);
         let completion = self.sim_now;
         let jobs: Vec<u64> = batch.members.iter().map(|q| q.job).collect();
-        // Tag the Execute event with the dominant class of the execution
-        // the service just performed.
-        let class = service
-            .timeline()
-            .iter()
-            .rev()
-            .find(|e| e.phase == SessionPhase::Execute)
-            .map_or(PhaseClass::Other, |e| e.class);
         let batch_size = batch.members.len();
         self.metrics.inc("frontend.executions", 1);
+        let outcomes: Vec<Result<SpmmResponse, ServeError>> = match outcome {
+            Ok(responses) => responses.into_iter().map(Ok).collect(),
+            // Unreachable after admission-time validation, but a member
+            // must never be dropped silently.
+            Err(e) => vec![Err(e); batch_size],
+        };
+        assert_eq!(outcomes.len(), batch_size, "one outcome per member");
+        // Tag the Execute event with the class the service reported for
+        // this very execution (Recovery when it failed).
+        let class = match &outcomes[0] {
+            Ok(r) => r.class,
+            Err(_) => PhaseClass::Recovery,
+        };
 
         let mut responses = Vec::with_capacity(batch_size);
-        let mut by_index: HashMap<usize, Result<SpmmResponse, ServeError>> =
-            outcomes.into_iter().collect();
         let mut exec_detail: Option<String> = None;
-        for (index, member) in batch.members.into_iter().enumerate() {
-            let outcome = by_index.remove(&index).expect("every member has an outcome");
+        for (member, outcome) in batch.members.into_iter().zip(outcomes) {
             let key: GroupKey = (member.matrix, member.algorithm, member.k);
             let state = &mut self.tenants[member.tenant];
             state.in_flight_k -= member.k;
@@ -811,5 +791,89 @@ impl FrontendCore {
             },
             deadline_misses: state.deadline_misses,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use twoface_matrix::gen::erdos_renyi;
+    use twoface_net::CostModel;
+    use twoface_serve::ServeConfig;
+
+    /// A service with two registered matrices and a `max_k` batch budget,
+    /// and a core over it with one unlimited tenant.
+    fn setup(max_k: usize) -> (SpmmService, FrontendCore, TenantId, [MatrixHandle; 2]) {
+        let mut config = ServeConfig::new(2, CostModel::delta_scaled());
+        config.max_k_per_batch = max_k;
+        let mut service = SpmmService::new(config);
+        let matrices = [0, 1].map(|seed| {
+            service.register_matrix(Arc::new(erdos_renyi(64, 64, 256, seed)), 8).unwrap()
+        });
+        let mut core = FrontendCore::new(&service, FrontendConfig::default());
+        let tenant = core.register_tenant("t", TenantQuota::unlimited()).unwrap();
+        (service, core, tenant, matrices)
+    }
+
+    fn submit(core: &mut FrontendCore, tenant: TenantId, matrix: MatrixHandle, k: usize) {
+        let b = Arc::new(DenseMatrix::from_fn(64, k, |_, _| 0.0));
+        core.submit(tenant, FrontendRequest::new(matrix, b)).unwrap();
+    }
+
+    /// Flushes the queue and describes each closed batch as
+    /// `(matrix, K, jobs)`, in close order.
+    fn flush(service: &SpmmService, core: &mut FrontendCore) -> Vec<(u64, usize, Vec<u64>)> {
+        let batches = core.poll(service, true);
+        let shape = |b: &ReadyBatch| {
+            let jobs = b.members.iter().map(|q| q.job).collect();
+            (b.members[0].matrix.id(), b.members[0].k, jobs)
+        };
+        batches.iter().map(shape).collect()
+    }
+
+    #[test]
+    fn key_grouped_fuses_across_interleavings() {
+        // An m0/m1/m0/m1 pattern must not change how the four m0 requests
+        // fuse.
+        let (service, mut core, t, m) = setup(16);
+        for at in [0, 1, 0, 1, 0, 0] {
+            submit(&mut core, t, m[at], 4);
+        }
+        assert_eq!(flush(&service, &mut core), vec![(0, 4, vec![0, 2, 4, 5]), (1, 4, vec![1, 3])]);
+    }
+
+    #[test]
+    fn key_grouped_chunks_at_the_budget_in_fifo_order() {
+        let (service, mut core, t, m) = setup(16);
+        for _ in 0..5 {
+            submit(&mut core, t, m[0], 8);
+        }
+        let batches = flush(&service, &mut core);
+        assert_eq!(batches, vec![(0, 8, vec![0, 1]), (0, 8, vec![2, 3]), (0, 8, vec![4])]);
+    }
+
+    #[test]
+    fn over_wide_requests_run_solo() {
+        let (service, mut core, t, m) = setup(16);
+        submit(&mut core, t, m[0], 32);
+        submit(&mut core, t, m[0], 32);
+        assert_eq!(flush(&service, &mut core), vec![(0, 32, vec![0]), (0, 32, vec![1])]);
+    }
+
+    #[test]
+    fn batch_sequence_ignores_interleaving() {
+        // An incompatible request between compatible ones, or after them,
+        // leaves one group-contiguous schedule.
+        let mut shapes: Vec<Vec<(u64, usize, usize)>> = Vec::new();
+        for order in [[0, 1, 0, 0], [0, 0, 0, 1]] {
+            let (service, mut core, t, m) = setup(16);
+            for at in order {
+                submit(&mut core, t, m[at], 8);
+            }
+            let batches = flush(&service, &mut core);
+            shapes.push(batches.into_iter().map(|(m, k, jobs)| (m, k, jobs.len())).collect());
+        }
+        assert_eq!(shapes[0], shapes[1], "schedules are interleaving-insensitive");
+        assert_eq!(shapes[0], vec![(0, 8, 2), (0, 8, 1), (1, 8, 1)]);
     }
 }

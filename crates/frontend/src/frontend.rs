@@ -76,8 +76,8 @@ impl Frontend {
         let mut responses = Vec::new();
         let batches = self.core.poll(&self.service, flush);
         for batch in batches {
-            let outcomes = run_batch(&mut self.service, &batch);
-            responses.extend(self.core.complete(batch, outcomes, &self.service));
+            let outcome = run_batch(&mut self.service, &batch);
+            responses.extend(self.core.complete(batch, outcome, &self.service));
         }
         responses
     }
@@ -423,10 +423,10 @@ fn scheduler(shared: Arc<Shared>, mut service: SpmmService) -> SpmmService {
             }
         };
         for batch in batches {
-            let outcomes = run_batch(&mut service, &batch);
+            let outcome = run_batch(&mut service, &batch);
             let responses = {
                 let mut state = shared.lock();
-                state.core.complete(batch, outcomes, &service)
+                state.core.complete(batch, outcome, &service)
             };
             let mut state = shared.lock();
             for response in responses {

@@ -9,7 +9,11 @@
 //! * **Submission queue.** Producers submit from caller threads through
 //!   per-tenant handles; a scheduler (a dedicated thread in
 //!   [`AsyncFrontend`], the caller itself in the deterministic
-//!   [`Frontend`]) drains the queue into the service.
+//!   [`Frontend`]) closes batches from the queue and hands each one to
+//!   the service as a single
+//!   [`execute_batch`](twoface_serve::SpmmService::execute_batch) call.
+//!   This is the only queue and the only batch former on the serving
+//!   path; the service itself keeps neither.
 //! * **Tenant quotas and fairness.** Every tenant carries a queued-request
 //!   cap and an in-flight column (`K`) budget; batch slots are handed out
 //!   by deficit round robin, so a chatty tenant cannot starve a quiet one.
@@ -27,8 +31,9 @@
 //!   pressure, draining.
 //! * **Observability.** Per-tenant accounting lands in the existing
 //!   [`MetricsRegistry`](twoface_net::MetricsRegistry) as labeled series,
-//!   latency/queue-depth sketches mirror the service's
-//!   [`SessionDigest`](twoface_serve::SessionDigest), and every action
+//!   latency sketches mirror the service's
+//!   [`SessionDigest`](twoface_serve::SessionDigest), queue-depth
+//!   sketches describe the one queue, and every action
 //!   joins a [`PhaseClass`](twoface_net::PhaseClass)-tagged timeline
 //!   exportable merged or per tenant.
 //!

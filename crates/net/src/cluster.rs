@@ -10,7 +10,7 @@ use crate::{
     CostModel, FaultEvent, FaultKind, FaultPlan, NetError, PhaseClass, RankTrace, SimTime,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The two virtual execution lanes of a rank.
@@ -70,7 +70,6 @@ struct Shared {
     meets: MeetRegistry,
     windows: Mutex<WindowTable>,
     run_epoch: AtomicU64,
-    retain_windows: AtomicBool,
     fault_plan: Mutex<Option<Arc<FaultPlan>>>,
     observability: Mutex<Observability>,
     flight_capacity: AtomicUsize,
@@ -159,7 +158,6 @@ impl Cluster {
                 meets: MeetRegistry::new(),
                 windows: Mutex::new(WindowTable::default()),
                 run_epoch: AtomicU64::new(0),
-                retain_windows: AtomicBool::new(false),
                 fault_plan: Mutex::new(None),
                 observability: Mutex::new(Observability::off()),
                 flight_capacity: AtomicUsize::new(FLIGHT_CAPACITY_DEFAULT),
@@ -207,33 +205,11 @@ impl Cluster {
         self.shared.observability.lock().expect("observability poisoned").clone()
     }
 
-    /// Switches the cluster between per-run window teardown (the default)
-    /// and *session mode*, where window tables survive across [`Cluster::run`]
-    /// calls.
-    ///
-    /// In session mode a run's [`RankCtx::create_window`] ids start after the
-    /// retained table (ids still agree across ranks), so [`WindowId`]s handed
-    /// out by earlier runs keep resolving to the same buffers — the warm-RMA
-    /// behavior a long-lived serving layer needs. Meet tags remain
-    /// epoch-namespaced either way: the run epoch is monotonic and never
-    /// reused, so collectives of different runs can never rendezvous with
-    /// each other regardless of this setting.
-    ///
-    /// Retained windows pin their payload buffers; call [`Cluster::reset`]
-    /// between sessions to release them.
-    pub fn set_window_retention(&self, retain: bool) {
-        self.shared.retain_windows.store(retain, Ordering::Relaxed);
-    }
-
-    /// Whether window tables are retained across runs (session mode).
-    pub fn window_retention(&self) -> bool {
-        self.shared.retain_windows.load(Ordering::Relaxed)
-    }
-
-    /// Fully resets per-session state: drops every retained window (freeing
-    /// the exposed buffers) and clears the meet registry, returning the
-    /// cluster to its just-constructed state. Configuration (cost model,
-    /// fault plan, observability, retention mode) is preserved.
+    /// Drops every window (freeing the exposed buffers) and clears the meet
+    /// registry, returning the cluster to its just-constructed state.
+    /// Configuration (cost model, fault plan, observability) is preserved.
+    /// [`Cluster::run`] calls this once its rank threads have joined, so a
+    /// finished run pins no payload and leaves no meet state behind.
     ///
     /// The run epoch is deliberately *not* rewound: epochs namespace meet
     /// tags, and reusing one could let a tag from before the reset alias a
@@ -243,7 +219,10 @@ impl Cluster {
     /// Must not be called concurrently with [`Cluster::run`] (ranks in
     /// flight would observe their windows vanishing mid-run).
     pub fn reset(&self) {
-        self.shared.windows.lock().expect("window table poisoned").buffers.clear();
+        // A rank that panicked mid-get poisons the table; it is emptied
+        // either way, so the poison carries nothing worth keeping.
+        self.shared.windows.lock().unwrap_or_else(|e| e.into_inner()).buffers.clear();
+        self.shared.windows.clear_poison();
         self.shared.meets.clear();
     }
 
@@ -270,23 +249,10 @@ impl Cluster {
         R: Send,
     {
         // Per-run state must not leak between run() calls on one cluster:
-        // unless session mode retains them, window handles from a previous
-        // run are invalidated here, and the fresh epoch namespaces this
-        // run's meet tags (per-rank tag counters restart at zero each run,
-        // while the meet registry is shared). In session mode this run's
-        // window ids start after the retained table so ids still agree
-        // across ranks and old handles stay valid.
+        // window ids and per-rank tag counters restart at zero each run, the
+        // reset below drops this run's windows and meets once every rank has
+        // joined, and the fresh epoch namespaces this run's meet tags.
         let epoch = self.shared.run_epoch.fetch_add(1, Ordering::Relaxed) & EPOCH_MASK;
-        // A stall abort poisons the meet registry for the rest of its run;
-        // the next run starts clean.
-        self.shared.meets.clear_poison();
-        let window_base = {
-            let mut table = self.shared.windows.lock().expect("window table poisoned");
-            if !self.shared.retain_windows.load(Ordering::Relaxed) {
-                table.buffers.clear();
-            }
-            table.buffers.len()
-        };
         let plan = self.shared.fault_plan.lock().expect("fault plan poisoned").clone();
         let observability =
             self.shared.observability.lock().expect("observability poisoned").clone();
@@ -306,7 +272,7 @@ impl Cluster {
                             clocks: [SimTime::ZERO; 2],
                             trace: RankTrace::new(),
                             next_auto_tag: 0,
-                            next_window: window_base,
+                            next_window: 0,
                             faults: plan.clone(),
                             events: EventSink::new(observability),
                             metrics: MetricsRegistry::new(),
@@ -325,7 +291,11 @@ impl Cluster {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            // Every rank has joined (or unwound): nothing reads this run's
+            // windows or meets any more, so release them before reporting.
+            self.reset();
+            joined.into_iter().map(|r| r.expect("rank thread panicked")).collect()
         })
     }
 }
@@ -1656,36 +1626,28 @@ mod tests {
     }
 
     #[test]
-    fn session_mode_retains_windows_across_runs() {
-        // Companion to `stale_window_handles_do_not_survive_a_new_run`: with
-        // retention on, a handle from run 1 stays valid in run 2, and run 2's
-        // fresh windows get ids *after* the retained table on every rank.
+    fn a_finished_run_releases_its_windows() {
+        // Nothing reads a window after its run, so once run() returns the
+        // cluster must hold no reference to any exposed payload.
         let c = cluster(2);
-        c.set_window_retention(true);
-        assert!(c.window_retention());
-        let old =
-            c.run(|ctx| ctx.create_window(vec![ctx.rank() as f64 + 1.0; 2]).unwrap())[0].result;
-        let out = c.run(move |ctx| {
-            let fresh = ctx.create_window(vec![9.0; 2]).unwrap();
-            let peer = 1 - ctx.rank();
-            let warm = ctx.win_get(old, peer, 0..2, Lane::Sync, PhaseClass::SyncComm).unwrap();
-            let new = ctx.win_get(fresh, peer, 0..2, Lane::Sync, PhaseClass::SyncComm).unwrap();
-            (warm[0], new[0], fresh)
+        let exposed = Arc::new(vec![1.0; 8]);
+        let out = c.run(|ctx| {
+            let win = ctx.create_window(Arc::clone(&exposed)).unwrap();
+            let got = ctx.win_get(win, 1 - ctx.rank(), 0..2, Lane::Sync, PhaseClass::SyncComm);
+            got.unwrap().to_vec()
         });
-        for (r, o) in out.iter().enumerate() {
-            assert_eq!(o.result.0, (1 - r) as f64 + 1.0, "retained window serves old data");
-            assert_eq!(o.result.1, 9.0);
-            assert_ne!(o.result.2, old, "fresh ids must not alias retained windows");
+        for o in &out {
+            assert_eq!(o.result, vec![1.0, 1.0]);
         }
+        assert_eq!(Arc::strong_count(&exposed), 1, "the window table must not pin B");
     }
 
     #[test]
     fn session_meets_do_not_alias_across_runs() {
-        // Epoch namespacing must keep collectives of different runs apart
-        // even when the window table is retained: reusing the same explicit
-        // multicast tag in consecutive session runs is safe.
+        // Epoch namespacing must keep collectives of different runs apart:
+        // reusing the same explicit multicast tag in consecutive runs on one
+        // cluster is safe.
         let c = cluster(2);
-        c.set_window_retention(true);
         for round in 0..3u64 {
             let out = c.run(|ctx| {
                 let got = ctx
@@ -1701,40 +1663,6 @@ mod tests {
             for o in &out {
                 assert_eq!(o.result, round as f64);
             }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "rank thread panicked")]
-    fn reset_invalidates_retained_windows() {
-        let c = cluster(2);
-        c.set_window_retention(true);
-        let win = c.run(|ctx| ctx.create_window(vec![0.0; 4]).unwrap())[0].result;
-        c.reset();
-        let _ = c.run(move |ctx| {
-            let _ = ctx.win_get(win, 0, 0..4, Lane::Sync, PhaseClass::SyncComm);
-        });
-    }
-
-    #[test]
-    fn reset_restarts_window_ids_from_zero() {
-        // Full teardown symmetry: after reset() the cluster behaves as new —
-        // the next run's first window gets id 0 again, and the cluster stays
-        // usable.
-        let c = cluster(2);
-        c.set_window_retention(true);
-        let first = c.run(|ctx| ctx.create_window(vec![1.0; 2]).unwrap())[0].result;
-        let second = c.run(|ctx| ctx.create_window(vec![2.0; 2]).unwrap())[0].result;
-        assert_ne!(first, second, "session mode allocates fresh ids per run");
-        c.reset();
-        let after = c.run(|ctx| {
-            let win = ctx.create_window(vec![3.0; 2]).unwrap();
-            let got = ctx.win_get(win, 1 - ctx.rank(), 0..2, Lane::Sync, PhaseClass::SyncComm);
-            (win, got.unwrap()[0])
-        });
-        for o in &after {
-            assert_eq!(o.result.0, first, "post-reset ids restart at zero");
-            assert_eq!(o.result.1, 3.0);
         }
     }
 

@@ -215,12 +215,6 @@ impl MeetRegistry {
         self.cond.notify_all();
     }
 
-    /// Clears any poison left by a previous run. Called at run start so an
-    /// aborted run cannot leak its stall into the next one.
-    pub(crate) fn clear_poison(&self) {
-        self.inner.lock().expect("meet registry lock poisoned").poison = None;
-    }
-
     /// Arrives at meet `tag` with `expected` total participants.
     ///
     /// Blocks until all participants have arrived, then returns the maximum
@@ -481,10 +475,6 @@ mod tests {
         reg.poison(MeetPoison { straggler: 9, stalled_seconds: 1.0, timeout_seconds: 0.5 });
         let o = reg.meet(1, 2, 0, SimTime::ZERO, None);
         assert_eq!(o.poisoned, Some(POISON), "the first poison is the one reported");
-        reg.clear_poison();
-        let o = reg.meet(2, 1, 0, SimTime::ZERO, None);
-        assert_eq!(o.poisoned, None);
-        reg.poison(POISON);
         reg.clear();
         let o = reg.meet(3, 1, 0, SimTime::ZERO, None);
         assert_eq!(o.poisoned, None, "clear() drops poison along with states");

@@ -4,9 +4,9 @@ use twoface_core::RunError;
 
 /// Why the service rejected or failed a request.
 ///
-/// Scheduling errors (`UnknownMatrix`, `Shape`) surface at
-/// [`submit`](crate::SpmmService::submit) time, before the request is
-/// queued; execution errors (`Run`) arrive in the request's
+/// Validation errors (`UnknownMatrix`, `Shape`) surface from
+/// [`execute_batch`](crate::SpmmService::execute_batch) before anything
+/// runs; execution errors (`Run`) arrive in each panel's
 /// [`SpmmResponse`](crate::SpmmResponse) after the retry budget — and, when
 /// enabled, the dense-allgather fallback — has been exhausted.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,8 +17,9 @@ pub enum ServeError {
         /// The offending handle id.
         handle: u64,
     },
-    /// Operand shapes are incompatible (e.g. `B` row count vs `A` columns,
-    /// or an infeasible layout at registration).
+    /// Operand shapes are incompatible: a `B` row count vs `A` columns, an
+    /// empty or mixed-width batch, panels wider together than the batch
+    /// budget, or an infeasible layout at registration.
     Shape {
         /// Human-readable description of the mismatch.
         context: String,

@@ -7,18 +7,22 @@
 //! and reused across the many SpMM invocations of an application) calls for
 //! a service instead. This crate provides it:
 //!
-//! * [`SpmmService`] owns a persistent [`Cluster`](twoface_net::Cluster) in
-//!   window-retention mode: RMA windows stay warm between calls and the
-//!   session epoch advances monotonically, so repeated executions skip
-//!   per-run window setup.
+//! * [`SpmmService`] owns a persistent [`Cluster`](twoface_net::Cluster):
+//!   no cluster is built per call, and the run epoch advances monotonically
+//!   so collectives of different executions never alias. Each execution
+//!   creates its own RMA windows and releases them when it finishes.
 //! * [`PlanCache`] holds preprocessing artifacts
 //!   ([`PreparedMatrix`](twoface_core::PreparedMatrix)) keyed by a stable
 //!   content fingerprint of `(A, execution options, cluster shape)` under a
 //!   configurable byte budget with LRU eviction.
-//! * The scheduler in [`SpmmService::drain`] fuses compatible requests into
-//!   batched executions (splitting results back bit-identically), retries
-//!   transient faults under reseeded fault plans, and falls back to the
-//!   dense allgather baseline when one-sided transfers keep timing out.
+//! * [`SpmmService::execute_batch`] runs one batch of same-width panels as
+//!   a single fused execution (splitting results back bit-identically),
+//!   retries transient faults under reseeded fault plans, and falls back to
+//!   the dense allgather baseline when one-sided transfers keep timing out.
+//!   The service holds no pending requests between calls: the
+//!   multi-tenant front-end (`twoface-frontend`) is the one place that
+//!   decides which requests share a batch. [`SpmmService::run_one`] is
+//!   the one-panel call.
 //! * A [`SessionEvent`] timeline tags everything the service does with the
 //!   existing [`PhaseClass`](twoface_net::PhaseClass) vocabulary.
 //!
@@ -51,7 +55,6 @@
 
 mod cache;
 mod error;
-mod former;
 mod service;
 mod timeline;
 

@@ -2,7 +2,6 @@
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::error::ServeError;
-use crate::former::{form_batches, Batch, Pending};
 use crate::timeline::{dominant_class, SessionEvent, SessionPhase};
 use serde::Serialize;
 use std::sync::Arc;
@@ -90,7 +89,8 @@ impl MatrixHandle {
     }
 }
 
-/// Opaque id of a submitted request; responses carry it back.
+/// Id the service gives each panel it executes, in execution order;
+/// responses carry it back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(u64);
 
@@ -124,7 +124,7 @@ impl SpmmRequest {
 /// The outcome of one request.
 #[derive(Debug, Clone)]
 pub struct SpmmResponse {
-    /// The request this answers.
+    /// The panel this answers.
     pub request: RequestId,
     /// The output `C`, or why execution failed.
     pub output: Result<DenseMatrix, ServeError>,
@@ -147,6 +147,20 @@ pub struct SpmmResponse {
     pub attempts: u32,
     /// Whether the scheduler fell back to the dense allgather baseline.
     pub fell_back: bool,
+    /// The Figure-10 class the execution spent its critical path on: the
+    /// dominant class of the critical rank's breakdown on success,
+    /// [`PhaseClass::Recovery`] on failure.
+    pub class: PhaseClass,
+}
+
+/// What a batch's responses report about its execution, whatever the
+/// outcome.
+#[derive(Default)]
+struct Provenance {
+    cache_hit: Option<bool>,
+    prep_wall_nanos: u64,
+    attempts: u32,
+    fell_back: bool,
 }
 
 struct Registered {
@@ -157,14 +171,15 @@ struct Registered {
 
 /// A long-lived SpMM serving session.
 ///
-/// Owns a persistent [`Cluster`] in window-retention ("warm") mode, a
-/// fingerprint-keyed [`PlanCache`] of preprocessing artifacts, and a request
-/// queue. [`SpmmService::drain`] schedules the queue: compatible requests
-/// (same matrix, algorithm, and `K`) are fused into one execution up to
-/// [`ServeConfig::max_k_per_batch`] columns, preprocessing is served from
+/// Owns a persistent [`Cluster`] and a fingerprint-keyed [`PlanCache`] of
+/// preprocessing artifacts, and executes batches: [`SpmmService::execute_batch`]
+/// fuses panels of one `(matrix, algorithm, K)` key into one execution of up
+/// to [`ServeConfig::max_k_per_batch`] columns, preprocessing is served from
 /// the cache when the fingerprint matches, and failures are retried under
 /// reseeded fault plans before optionally falling back to the dense
-/// allgather baseline.
+/// allgather baseline. The service holds no pending requests between
+/// calls: deciding which requests share a batch is the caller's job (the
+/// multi-tenant front-end's).
 ///
 /// # Bit-identity contract
 ///
@@ -180,7 +195,6 @@ pub struct SpmmService {
     cluster: Cluster,
     matrices: Vec<Registered>,
     cache: PlanCache,
-    queue: Vec<Pending>,
     metrics: MetricsRegistry,
     timeline: Vec<SessionEvent>,
     next_request: u64,
@@ -189,22 +203,20 @@ pub struct SpmmService {
 }
 
 impl SpmmService {
-    /// Creates a service: builds the persistent cluster (in window-retention
-    /// mode) and an empty plan cache.
+    /// Creates a service: builds the persistent cluster and an empty plan
+    /// cache.
     ///
     /// # Panics
     ///
     /// Panics if `config.p == 0`.
     pub fn new(config: ServeConfig) -> SpmmService {
         let cluster = Cluster::new(config.p, config.exec.effective_cost(&config.cost));
-        cluster.set_window_retention(true);
         let cache = PlanCache::new(config.cache_budget_bytes);
         SpmmService {
             cluster,
             cache,
             config,
             matrices: Vec::new(),
-            queue: Vec::new(),
             metrics: MetricsRegistry::new(),
             timeline: Vec::new(),
             next_request: 0,
@@ -258,90 +270,124 @@ impl SpmmService {
         Ok(handle)
     }
 
-    /// Queues a request; execution happens at the next [`SpmmService::drain`].
+    /// Executes one request solo: a one-panel [`SpmmService::execute_batch`].
+    ///
+    /// # Errors
+    ///
+    /// Everything [`SpmmService::execute_batch`] rejects; execution failures
+    /// are reported inside the returned response.
+    pub fn run_one(&mut self, request: SpmmRequest) -> Result<SpmmResponse, ServeError> {
+        let panels = std::slice::from_ref(&request.b);
+        let mut responses = self.execute_batch(request.matrix, request.algorithm, panels)?;
+        Ok(responses.pop().expect("one response per panel"))
+    }
+
+    /// Executes one fused batch: `C_i = A × B_i` for every panel `B_i`, with
+    /// one response per panel, in panel order.
+    ///
+    /// The panels must share one width `K`, have `A.cols()` rows, and fit
+    /// [`ServeConfig::max_k_per_batch`] together (a single panel wider than
+    /// the budget still runs, solo). The service numbers the panels when it
+    /// accepts the batch, fuses them column-wise into one dense operand, runs
+    /// it once on the warm cluster (plan cache, retries, fallback), and
+    /// splits the output back bit-identically to solo runs.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownMatrix`] for a foreign handle and
-    /// [`ServeError::Shape`] when `B`'s row count differs from `A`'s column
-    /// count (or `B` has no columns).
-    pub fn submit(&mut self, request: SpmmRequest) -> Result<RequestId, ServeError> {
-        let matrix = request.matrix.0 as usize;
-        let Some(registered) = self.matrices.get(matrix) else {
-            return Err(ServeError::UnknownMatrix { handle: request.matrix.0 });
+    /// [`ServeError::Shape`] for an empty batch, a `B` whose row count
+    /// differs from `A`'s column count or that has no columns, mixed widths,
+    /// or panels whose fused width exceeds the budget. Nothing executes on
+    /// error; execution failures are reported inside the responses.
+    pub fn execute_batch(
+        &mut self,
+        matrix: MatrixHandle,
+        algorithm: Algorithm,
+        panels: &[Arc<DenseMatrix>],
+    ) -> Result<Vec<SpmmResponse>, ServeError> {
+        let k = self.check_batch(matrix, panels)?;
+        let first = self.next_request;
+        self.next_request += panels.len() as u64;
+        let ids: Vec<u64> = (first..self.next_request).collect();
+        let mut run = Provenance::default();
+        let outcome = self.execute_fused(matrix.0 as usize, algorithm, k, panels, &ids, &mut run);
+        let count = panels.len() as u64;
+        let (algorithm, sim_seconds, prep_wall_nanos, class) = match &outcome {
+            Ok((report, ran)) => {
+                self.metrics.inc("serve.requests_completed", count);
+                let sim_ns = (report.seconds * 1e9).round() as u64;
+                for _ in 0..count {
+                    self.metrics.observe("serve.request_sim_ns", sim_ns);
+                }
+                let class = dominant_class(&report.critical_breakdown);
+                (*ran, report.seconds, run.prep_wall_nanos, class)
+            }
+            Err(_) => {
+                self.metrics.inc("serve.requests_failed", count);
+                (algorithm, 0.0, 0, PhaseClass::Recovery)
+            }
         };
-        if request.b.rows() != registered.a.cols() || request.b.cols() == 0 {
-            return Err(ServeError::Shape {
-                context: format!(
+        let responses = ids.iter().enumerate().map(|(at, &request)| SpmmResponse {
+            request: RequestId(request),
+            output: match &outcome {
+                Ok((report, _)) => {
+                    let c = report.output.as_ref().expect("service runs compute values");
+                    Ok(split_columns(c, at * k, k))
+                }
+                Err(source) => {
+                    Err(ServeError::Run { request, attempts: run.attempts, source: source.clone() })
+                }
+            },
+            algorithm,
+            sim_seconds,
+            prep_wall_nanos,
+            cache_hit: run.cache_hit,
+            batch_size: panels.len(),
+            attempts: run.attempts,
+            fell_back: run.fell_back,
+            class,
+        });
+        Ok(responses.collect())
+    }
+
+    /// Validates a batch before anything is numbered or run; returns the
+    /// shared panel width `K`.
+    fn check_batch(
+        &self,
+        matrix: MatrixHandle,
+        panels: &[Arc<DenseMatrix>],
+    ) -> Result<usize, ServeError> {
+        let registered = self
+            .matrices
+            .get(matrix.0 as usize)
+            .ok_or(ServeError::UnknownMatrix { handle: matrix.0 })?;
+        let shape = |context: String| Err(ServeError::Shape { context });
+        let Some(k) = panels.first().map(|b| b.cols()) else {
+            return shape(format!("a batch on matrix {} needs at least one panel", matrix.0));
+        };
+        for b in panels {
+            if b.rows() != registered.a.cols() || b.cols() == 0 {
+                return shape(format!(
                     "matrix {} is {}x{} but B is {}x{}",
-                    request.matrix.0,
+                    matrix.0,
                     registered.a.rows(),
                     registered.a.cols(),
-                    request.b.rows(),
-                    request.b.cols()
-                ),
-            });
+                    b.rows(),
+                    b.cols()
+                ));
+            }
+            if b.cols() != k {
+                return shape(format!("panels of width {k} and {} cannot fuse", b.cols()));
+            }
         }
-        let id = RequestId(self.next_request);
-        self.next_request += 1;
-        self.queue.push(Pending { id: id.0, matrix, b: request.b, algorithm: request.algorithm });
-        self.metrics.inc("serve.requests_submitted", 1);
-        self.metrics.observe("serve.queue_depth", self.queue.len() as u64);
-        Ok(id)
-    }
-
-    /// Submits one request and drains immediately — the convenience path
-    /// for callers without concurrent traffic.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`SpmmService::submit`] rejects; execution failures are
-    /// reported inside the returned response.
-    pub fn run_one(&mut self, request: SpmmRequest) -> Result<SpmmResponse, ServeError> {
-        let id = self.submit(request)?;
-        let mut responses = self.drain();
-        let index = responses
-            .iter()
-            .position(|r| r.request == id)
-            .expect("drain answers every queued request");
-        Ok(responses.swap_remove(index))
-    }
-
-    /// Executes every queued request and returns responses in submission
-    /// order.
-    ///
-    /// Scheduling: requests are grouped by `(matrix, algorithm, K)` across
-    /// the whole queue, so compatible requests fuse regardless of
-    /// interleaving; each batch fuses `B` panels up to
-    /// [`ServeConfig::max_k_per_batch`] columns and executes once on the
-    /// warm cluster. After the queue is
-    /// drained the session's retained windows are dropped
-    /// ([`Cluster::reset`]), releasing the `B` buffers they pin.
-    pub fn drain(&mut self) -> Vec<SpmmResponse> {
-        let queue = std::mem::take(&mut self.queue);
-        if queue.is_empty() {
-            return Vec::new();
+        let budget = self.config.max_k_per_batch;
+        if panels.len() > 1 && k.saturating_mul(panels.len()) > budget {
+            return shape(format!(
+                "{} panels of width {k} exceed the {budget}-column batch budget",
+                panels.len()
+            ));
         }
-        let batches = form_batches(queue, self.config.max_k_per_batch);
-        let mut responses = Vec::new();
-        for batch in batches {
-            self.execute_batch(batch, &mut responses);
-        }
-        responses.sort_by_key(|r| r.request);
-        // Teardown symmetry: session windows survived each run so handles
-        // stayed warm across the drain; dropping them here releases the B
-        // payloads they pin. The plan cache is unaffected.
-        self.cluster.reset();
-        let sim = self.sim_now;
-        self.record(
-            SessionPhase::Reset,
-            PhaseClass::Other,
-            Vec::new(),
-            sim,
-            0,
-            "drained; retained windows released".into(),
-        );
-        responses
+        Ok(k)
     }
 
     /// The plan-cache key a request for `(matrix, algorithm, k)` would use
@@ -512,16 +558,19 @@ impl SpmmService {
         f.finish()
     }
 
-    /// Fetches or builds the preprocessing artifact for a batch. Returns
+    /// Fetches or builds the preprocessing artifact for a batch whose
+    /// panels are as wide as `panel`. Returns
     /// `(artifact, cache_hit, build_wall_nanos)`.
     fn prepared_for(
         &mut self,
-        batch: &Batch,
+        matrix: usize,
         algorithm: Algorithm,
+        panel: &Arc<DenseMatrix>,
         ids: &[u64],
-    ) -> Result<(Arc<PreparedMatrix>, bool, u64), ServeError> {
-        let registered = &self.matrices[batch.matrix];
-        let key = self.cache_key(registered, algorithm, batch.k_each);
+    ) -> Result<(Arc<PreparedMatrix>, bool, u64), RunError> {
+        let k = panel.cols();
+        let registered = &self.matrices[matrix];
+        let key = self.cache_key(registered, algorithm, k);
         if let Some(prepared) = self.cache.get(key) {
             self.metrics.inc("serve.cache.hits", 1);
             let sim = self.sim_now;
@@ -536,17 +585,16 @@ impl SpmmService {
             return Ok((prepared, true, 0));
         }
         self.metrics.inc("serve.cache.misses", 1);
-        let registered = &self.matrices[batch.matrix];
+        let registered = &self.matrices[matrix];
         let start = Instant::now();
         // The plan is keyed to the *per-request* K so solo and batched runs
         // share it; fusion only widens the dense operand at run time.
         let problem = Problem::new(
             Arc::clone(&registered.a),
-            Arc::clone(&batch.requests[0].b),
+            Arc::clone(panel),
             self.config.p,
             registered.stripe_width,
-        )
-        .map_err(|e| self.run_error(ids[0], 0, e))?;
+        )?;
         let mut options = self.base_options();
         if algorithm == Algorithm::AsyncFine {
             // Async Fine's "plan" is the uniform all-async classification.
@@ -558,13 +606,12 @@ impl SpmmService {
                     self.config.p,
                     registered.stripe_width,
                 ),
-                batch.k_each,
+                k,
                 twoface_partition::StripeClass::Async,
             )));
         }
-        let prepared = PreparedMatrix::build(&problem, &self.config.cost, &options)
-            .map(Arc::new)
-            .map_err(|e| self.run_error(ids[0], 0, e))?;
+        let prepared =
+            PreparedMatrix::build(&problem, &self.config.cost, &options).map(Arc::new)?;
         let wall = start.elapsed().as_nanos() as u64;
         let evictions_before = self.cache.stats().evictions;
         self.cache.insert(key, Arc::clone(&prepared));
@@ -605,57 +652,45 @@ impl SpmmService {
         }
     }
 
-    fn run_error(&self, request: u64, attempts: u32, source: RunError) -> ServeError {
-        ServeError::Run { request, attempts, source }
-    }
-
-    /// Executes one batch end to end: cache, fuse, run (with retries and
-    /// fallback), split, respond.
-    fn execute_batch(&mut self, batch: Batch, out: &mut Vec<SpmmResponse>) {
-        let ids: Vec<u64> = batch.requests.iter().map(|r| r.id).collect();
+    /// Runs one validated batch: plan cache, fuse, run with retries and
+    /// fallback. Returns the report and the algorithm that produced it, or
+    /// the last run error; `run` collects what the responses report
+    /// whatever the outcome.
+    fn execute_fused(
+        &mut self,
+        matrix: usize,
+        requested: Algorithm,
+        k: usize,
+        panels: &[Arc<DenseMatrix>],
+        ids: &[u64],
+        run: &mut Provenance,
+    ) -> Result<(ExecutionReport, Algorithm), RunError> {
         // Auto resolves once, up front: the resolved algorithm decides the
         // plan flavor and the cache key. The runner re-resolves to the same
         // choice (resolution is deterministic), keeping Auto provenance in
         // the report.
-        let resolved =
-            self.resolve_algorithm(&self.matrices[batch.matrix], batch.algorithm, batch.k_each);
+        let resolved = self.resolve_algorithm(&self.matrices[matrix], requested, k);
         let uses_plan = resolved.uses_plan();
+        let mut options = self.base_options();
+        if uses_plan {
+            let (prepared, hit, wall) = self.prepared_for(matrix, resolved, &panels[0], ids)?;
+            options.prepared = Some(prepared);
+            run.cache_hit = Some(hit);
+            run.prep_wall_nanos = wall;
+        }
 
-        let (prepared, cache_hit, prep_wall_nanos) = if uses_plan {
-            match self.prepared_for(&batch, resolved, &ids) {
-                Ok((prepared, hit, wall)) => (Some(prepared), Some(hit), wall),
-                Err(e) => {
-                    self.fail_batch(&batch, e, out);
-                    return;
-                }
-            }
-        } else {
-            (None, None, 0)
-        };
-
-        let registered = &self.matrices[batch.matrix];
-        let fused_b = fuse_panels(&batch);
-        let problem = match Problem::new(
+        let registered = &self.matrices[matrix];
+        let problem = Problem::new(
             Arc::clone(&registered.a),
-            fused_b,
+            fuse_panels(panels),
             self.config.p,
             registered.stripe_width,
-        ) {
-            Ok(problem) => problem,
-            Err(e) => {
-                let e = self.run_error(ids[0], 0, e);
-                self.fail_batch(&batch, e, out);
-                return;
-            }
-        };
+        )?;
 
-        let mut options = self.base_options();
-        options.prepared = prepared;
-        let mut algorithm = batch.algorithm;
-        let mut attempts = 0u32;
-        let mut fell_back = false;
-        let result: Result<ExecutionReport, RunError> = loop {
-            attempts += 1;
+        let mut algorithm = requested;
+        let report = loop {
+            run.attempts += 1;
+            let attempts = run.attempts;
             if attempts > 1 {
                 // A deterministic plan would replay the identical faults;
                 // each retry (and the fallback) derives a fresh seed.
@@ -665,17 +700,18 @@ impl SpmmService {
             let attempt =
                 run_algorithm_on(&self.cluster, algorithm, &problem, &self.config.cost, &options);
             match attempt {
-                Ok(report) => break Ok(report),
+                Ok(report) => break report,
                 Err(e @ (RunError::TransferTimeout { .. } | RunError::RankStalled { .. })) => {
                     // The fallback algorithm earns its own fresh budget.
-                    let allowed = (1 + self.config.retry_budget) * if fell_back { 2 } else { 1 };
+                    let allowed =
+                        (1 + self.config.retry_budget) * if run.fell_back { 2 } else { 1 };
                     if attempts < allowed {
                         self.metrics.inc("serve.retries", 1);
                         let sim = self.sim_now;
                         self.record(
                             SessionPhase::Retry,
                             PhaseClass::Recovery,
-                            ids.clone(),
+                            ids.to_vec(),
                             sim,
                             0,
                             format!("attempt {attempts} failed ({e}); reseeding"),
@@ -683,11 +719,11 @@ impl SpmmService {
                         continue;
                     }
                     let can_fall_back = self.config.fallback
-                        && !fell_back
+                        && !run.fell_back
                         && uses_plan
                         && matches!(e, RunError::TransferTimeout { .. });
                     if can_fall_back {
-                        fell_back = true;
+                        run.fell_back = true;
                         algorithm = Algorithm::Allgather;
                         options.prepared = None;
                         self.metrics.inc("serve.fallbacks", 1);
@@ -695,113 +731,46 @@ impl SpmmService {
                         self.record(
                             SessionPhase::Fallback,
                             PhaseClass::Recovery,
-                            ids.clone(),
+                            ids.to_vec(),
                             sim,
                             0,
                             format!(
                                 "{} exhausted its retry budget ({e}); falling back to allgather",
-                                batch.algorithm.name()
+                                requested.name()
                             ),
                         );
                         continue;
                     }
-                    break Err(e);
+                    return Err(e);
                 }
                 // Non-transient failures (shape, memory) retry nowhere.
-                Err(e) => break Err(e),
+                Err(e) => return Err(e),
             }
         };
 
-        match result {
-            Ok(report) => {
-                let sim_start = self.sim_now;
-                self.sim_now += report.seconds;
-                self.record(
-                    SessionPhase::Execute,
-                    dominant_class(&report.critical_breakdown),
-                    ids.clone(),
-                    sim_start,
-                    0,
-                    format!(
-                        "{} x{} (fused K = {}){}",
-                        algorithm.name(),
-                        batch.requests.len(),
-                        problem.k(),
-                        if fell_back { ", degraded" } else { "" }
-                    ),
-                );
-                if let Some(last) = self.timeline.last_mut() {
-                    last.sim_end_seconds = sim_start + report.seconds;
-                }
-                self.metrics.inc("serve.batches", 1);
-                self.metrics.observe("serve.batch_requests", batch.requests.len() as u64);
-                self.metrics.observe("serve.batch_fused_k", problem.k() as u64);
-                let output = report.output.as_ref().expect("service runs compute values");
-                let batch_size = batch.requests.len();
-                let mut col_offset = 0usize;
-                for pending in &batch.requests {
-                    let k = pending.b.cols();
-                    let c = split_columns(output, col_offset, k);
-                    col_offset += k;
-                    self.metrics.inc("serve.requests_completed", 1);
-                    self.metrics
-                        .observe("serve.request_sim_ns", (report.seconds * 1e9).round() as u64);
-                    out.push(SpmmResponse {
-                        request: RequestId(pending.id),
-                        output: Ok(c),
-                        algorithm,
-                        sim_seconds: report.seconds,
-                        prep_wall_nanos,
-                        cache_hit,
-                        batch_size,
-                        attempts,
-                        fell_back,
-                    });
-                }
-            }
-            Err(e) => {
-                let e = ServeError::Run { request: ids[0], attempts, source: e };
-                self.metrics.inc("serve.requests_failed", batch.requests.len() as u64);
-                self.fail_batch_with(&batch, e, attempts, fell_back, cache_hit, out);
-            }
+        let sim_start = self.sim_now;
+        self.sim_now += report.seconds;
+        self.record(
+            SessionPhase::Execute,
+            dominant_class(&report.critical_breakdown),
+            ids.to_vec(),
+            sim_start,
+            0,
+            format!(
+                "{} x{} (fused K = {}){}",
+                algorithm.name(),
+                panels.len(),
+                problem.k(),
+                if run.fell_back { ", degraded" } else { "" }
+            ),
+        );
+        if let Some(last) = self.timeline.last_mut() {
+            last.sim_end_seconds = sim_start + report.seconds;
         }
-    }
-
-    fn fail_batch(&mut self, batch: &Batch, error: ServeError, out: &mut Vec<SpmmResponse>) {
-        self.metrics.inc("serve.requests_failed", batch.requests.len() as u64);
-        self.fail_batch_with(batch, error, 0, false, None, out);
-    }
-
-    fn fail_batch_with(
-        &mut self,
-        batch: &Batch,
-        error: ServeError,
-        attempts: u32,
-        fell_back: bool,
-        cache_hit: Option<bool>,
-        out: &mut Vec<SpmmResponse>,
-    ) {
-        for pending in &batch.requests {
-            let error = match &error {
-                ServeError::Run { attempts, source, .. } => ServeError::Run {
-                    request: pending.id,
-                    attempts: *attempts,
-                    source: source.clone(),
-                },
-                other => other.clone(),
-            };
-            out.push(SpmmResponse {
-                request: RequestId(pending.id),
-                output: Err(error),
-                algorithm: batch.algorithm,
-                sim_seconds: 0.0,
-                prep_wall_nanos: 0,
-                cache_hit,
-                batch_size: batch.requests.len(),
-                attempts,
-                fell_back,
-            });
-        }
+        self.metrics.inc("serve.batches", 1);
+        self.metrics.observe("serve.batch_requests", panels.len() as u64);
+        self.metrics.observe("serve.batch_fused_k", problem.k() as u64);
+        Ok((report, algorithm))
     }
 
     fn record(
@@ -845,27 +814,18 @@ impl SpmmService {
         self.metrics.histogram("serve.request_sim_ns")
     }
 
-    /// Quantile sketch of the pending-queue depth, sampled after every
-    /// accepted submit. `None` before any submit.
-    pub fn queue_depth_sketch(&self) -> Option<&Histogram> {
-        self.metrics.histogram("serve.queue_depth")
-    }
-
-    /// The timeline's summary row: deterministic latency and queue-depth
-    /// percentiles for the session so far. Everything derives from
-    /// simulated time and queue counts — never host wall time — so two
-    /// replays of the same request sequence digest identically.
+    /// The timeline's summary row: deterministic latency percentiles for
+    /// the session so far. Everything derives from simulated time — never
+    /// host wall time — so two replays of the same batch sequence digest
+    /// identically.
     pub fn session_digest(&self) -> SessionDigest {
         let latency = self.latency_sketch();
-        let depth = self.queue_depth_sketch();
-        let q = |h: Option<&Histogram>, at: f64| h.and_then(|h| h.quantile(at)).unwrap_or(0.0);
+        let q = |at: f64| latency.and_then(|h| h.quantile(at)).unwrap_or(0.0);
         SessionDigest {
             requests: latency.map_or(0, Histogram::count),
-            latency_ns_p50: q(latency, 0.50),
-            latency_ns_p95: q(latency, 0.95),
-            latency_ns_p99: q(latency, 0.99),
-            queue_depth_p50: q(depth, 0.50),
-            queue_depth_max: depth.and_then(Histogram::max).unwrap_or(0),
+            latency_ns_p50: q(0.50),
+            latency_ns_p95: q(0.95),
+            latency_ns_p99: q(0.99),
         }
     }
 
@@ -889,8 +849,8 @@ impl SpmmService {
         &self.cluster
     }
 
-    /// Drops cached plans and retained windows, returning the session to a
-    /// cold state (counters and the timeline are preserved; they describe
+    /// Drops cached plans and resets the cluster, returning the session to
+    /// a cold state (counters and the timeline are preserved; they describe
     /// history).
     pub fn reset_session(&mut self) {
         self.cache.clear();
@@ -902,12 +862,12 @@ impl SpmmService {
             Vec::new(),
             sim,
             0,
-            "explicit session reset: plan cache and windows dropped".into(),
+            "explicit session reset: plan cache dropped".into(),
         );
     }
 }
 
-/// The session's latency/queue-depth percentile digest (see
+/// The session's latency percentile digest (see
 /// [`SpmmService::session_digest`]). Serializable for inclusion in bench
 /// results and timeline exports.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -920,24 +880,20 @@ pub struct SessionDigest {
     pub latency_ns_p95: f64,
     /// 99th-percentile per-request simulated latency, in nanoseconds.
     pub latency_ns_p99: f64,
-    /// Median pending-queue depth observed at submit time.
-    pub queue_depth_p50: f64,
-    /// Deepest pending queue observed at submit time.
-    pub queue_depth_max: u64,
 }
 
-/// Fuses the batch's `B` panels into one row-major operand with
-/// `Σ K_i` columns, request panels left to right in batch order.
-fn fuse_panels(batch: &Batch) -> Arc<DenseMatrix> {
-    if batch.requests.len() == 1 {
-        return Arc::clone(&batch.requests[0].b);
+/// Fuses a batch's `B` panels into one row-major operand with `Σ K_i`
+/// columns, panels left to right in batch order.
+fn fuse_panels(panels: &[Arc<DenseMatrix>]) -> Arc<DenseMatrix> {
+    if let [only] = panels {
+        return Arc::clone(only);
     }
-    let rows = batch.requests[0].b.rows();
-    let total_k: usize = batch.requests.iter().map(|r| r.b.cols()).sum();
+    let rows = panels[0].rows();
+    let total_k: usize = panels.iter().map(|b| b.cols()).sum();
     let mut flat = Vec::with_capacity(rows * total_k);
     for row in 0..rows {
-        for request in &batch.requests {
-            flat.extend_from_slice(request.b.row(row));
+        for b in panels {
+            flat.extend_from_slice(b.row(row));
         }
     }
     Arc::new(DenseMatrix::from_vec(rows, total_k, flat).expect("fused panels tile exactly"))

@@ -29,7 +29,7 @@ pub enum SessionPhase {
     /// The scheduler abandoned the planned algorithm for the dense
     /// allgather baseline.
     Fallback,
-    /// The session was reset: retained windows dropped, buffers released.
+    /// The session was reset: cached plans dropped, the cluster reset.
     Reset,
 }
 

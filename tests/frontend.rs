@@ -433,6 +433,109 @@ fn drr_gives_a_lone_tenant_a_slot_in_the_first_batch() {
     assert_eq!(quiet_response.batch_size, 4);
 }
 
+/// Batch formation must not be sensitive to arrival interleaving: any
+/// permutation of the same request set produces the same number of
+/// executions, and outputs bitwise equal to solo runs.
+#[test]
+fn batch_formation_is_arrival_order_insensitive() {
+    let a1 = matrix(81);
+    let a2 = matrix(82);
+    // Three fusion keys: (a1, k=8) x3, (a2, k=8) x2, (a1, k=16) x2.
+    let specs: Vec<(usize, usize, u64)> =
+        vec![(0, 8, 90), (0, 8, 91), (0, 8, 92), (1, 8, 93), (1, 8, 94), (0, 16, 95), (0, 16, 96)];
+    let orders: Vec<Vec<usize>> = vec![
+        (0..specs.len()).collect(),
+        (0..specs.len()).rev().collect(),
+        vec![3, 0, 5, 1, 4, 6, 2], // fully interleaved across keys
+    ];
+
+    let tight = || {
+        let mut cfg = config();
+        cfg.max_k_per_batch = 32; // chunks: 4 at k=8, 2 at k=16
+        SpmmService::new(cfg)
+    };
+    let register = |service: &mut SpmmService| {
+        [
+            service.register_matrix(Arc::clone(&a1), STRIPE).unwrap(),
+            service.register_matrix(Arc::clone(&a2), STRIPE).unwrap(),
+        ]
+    };
+
+    // Solo reference bits per spec.
+    let mut solo = tight();
+    let handles = register(&mut solo);
+    let reference: Vec<DenseMatrix> = specs
+        .iter()
+        .map(|&(m, k, seed)| {
+            solo.run_one(SpmmRequest::new(handles[m], dense(k, seed))).unwrap().output.unwrap()
+        })
+        .collect();
+
+    let mut execution_counts = Vec::new();
+    for order in &orders {
+        let mut service = tight();
+        let h = register(&mut service);
+        let mut fe = Frontend::new(service, FrontendConfig::default());
+        let t = fe.register_tenant("alpha", TenantQuota::unlimited()).unwrap();
+        let jobs: Vec<_> = order
+            .iter()
+            .map(|&at| {
+                let (m, k, seed) = specs[at];
+                (at, fe.submit(t, FrontendRequest::new(h[m], dense(k, seed))).unwrap())
+            })
+            .collect();
+        let responses = fe.drain();
+        assert_eq!(responses.len(), specs.len());
+        for (at, job) in jobs {
+            let response = responses.iter().find(|r| r.job == job).unwrap();
+            assert_eq!(
+                response.output.as_ref().unwrap().as_slice(),
+                reference[at].as_slice(),
+                "order {order:?}, spec {at}: batched output must match solo bitwise"
+            );
+        }
+        execution_counts.push(fe.metrics().counter("frontend.executions"));
+    }
+    assert_eq!(
+        execution_counts,
+        vec![3; orders.len()],
+        "one execution per fusion key under every arrival order"
+    );
+}
+
+/// A batch that fails after a successful one must not inherit that
+/// batch's class: the front-end's Execute event for it is Recovery.
+#[test]
+fn a_failed_batch_executes_as_recovery() {
+    let mut degraded = config();
+    // Every one-sided get fails and nothing falls back: Async Fine cannot
+    // finish, while Allgather (no one-sided gets) always does.
+    degraded.fault_plan = Some(FaultPlan::seeded(3).with_get_failure_rate(1.0));
+    degraded.retry_budget = 1;
+    degraded.fallback = false;
+    let mut service = SpmmService::new(degraded);
+    let a = service.register_matrix(matrix(31), STRIPE).unwrap();
+    let mut fe = Frontend::new(service, FrontendConfig::default());
+    let t = fe.register_tenant("alpha", TenantQuota::default()).unwrap();
+
+    let allgather = FrontendRequest::new(a, dense(8, 1)).with_algorithm(Algorithm::Allgather);
+    fe.submit(t, allgather).unwrap();
+    assert!(fe.drain()[0].output.is_ok());
+    let async_fine = FrontendRequest::new(a, dense(8, 2)).with_algorithm(Algorithm::AsyncFine);
+    fe.submit(t, async_fine).unwrap();
+    assert!(fe.drain()[0].output.is_err());
+
+    let classes: Vec<PhaseClass> = fe
+        .timeline()
+        .iter()
+        .filter(|e| e.phase == FrontendPhase::Execute)
+        .map(|e| e.class)
+        .collect();
+    assert_eq!(classes.len(), 2);
+    assert_ne!(classes[0], PhaseClass::Recovery, "the allgather batch succeeded");
+    assert_eq!(classes[1], PhaseClass::Recovery, "a failed batch is a recovery action");
+}
+
 // ---------------------------------------------------------------------------
 // Threaded mode: producers on caller threads, graceful shutdown.
 // ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ fn batched_requests_are_bit_identical_to_solo_runs() {
     let a = matrix(11);
     let panels: Vec<_> = (0..3).map(|i| dense(8, 20 + i)).collect();
 
-    // Solo: one request per drain, nothing to fuse with.
+    // Solo: one request per execution, nothing to fuse with.
     let mut solo = SpmmService::new(config());
     let sh = solo.register_matrix(Arc::clone(&a), STRIPE).unwrap();
     let solo_outputs: Vec<DenseMatrix> = panels
@@ -156,18 +156,14 @@ fn batched_requests_are_bit_identical_to_solo_runs() {
         .map(|b| solo.run_one(SpmmRequest::new(sh, Arc::clone(b))).unwrap().output.unwrap())
         .collect();
 
-    // Batched: all three queued, drained together.
+    // Batched: all three panels in one execution.
     let mut batched = SpmmService::new(config());
     let bh = batched.register_matrix(a, STRIPE).unwrap();
-    let ids: Vec<_> = panels
-        .iter()
-        .map(|b| batched.submit(SpmmRequest::new(bh, Arc::clone(b))).unwrap())
-        .collect();
-    let responses = batched.drain();
+    let responses = batched.execute_batch(bh, Algorithm::TwoFace, &panels).unwrap();
     assert_eq!(responses.len(), 3);
 
-    for ((response, id), solo_output) in responses.iter().zip(&ids).zip(&solo_outputs) {
-        assert_eq!(response.request, *id, "responses come back in submission order");
+    for ((at, response), solo_output) in responses.iter().enumerate().zip(&solo_outputs) {
+        assert_eq!(response.request.id(), at as u64, "responses come back in panel order");
         assert_eq!(response.batch_size, 3, "all three requests fused into one execution");
         assert_eq!(
             response.output.as_ref().unwrap().as_slice(),
@@ -182,43 +178,34 @@ fn batched_requests_are_bit_identical_to_solo_runs() {
     assert_eq!(solo.cache_stats().hits, 2);
 }
 
-/// The request-level sketches (ISSUE 9): per-request simulated latency and
-/// submit-time queue depth feed mergeable histograms, readable as quantiles
-/// through [`SessionDigest`] — all derived from simulated time, so the
-/// digest is deterministic.
+/// The request-level sketch: per-request simulated latency feeds a
+/// mergeable histogram, readable as quantiles through [`SessionDigest`] —
+/// derived from simulated time, so the digest is deterministic.
+///
+/// [`SessionDigest`]: twoface_serve::SessionDigest
 #[test]
-fn latency_and_queue_depth_sketches_summarize_the_session() {
+fn latency_sketch_summarizes_the_session() {
     let mut service = SpmmService::new(config());
     let h = service.register_matrix(matrix(17), STRIPE).unwrap();
     assert!(service.latency_sketch().is_none(), "no requests, no sketch");
     assert_eq!(service.session_digest().requests, 0);
 
     let panels: Vec<_> = (0..4).map(|i| dense(8, 60 + i)).collect();
-    for b in &panels {
-        service.submit(SpmmRequest::new(h, Arc::clone(b))).unwrap();
-    }
-    service.drain();
+    service.execute_batch(h, Algorithm::TwoFace, &panels).unwrap();
 
     let latency = service.latency_sketch().expect("completed requests recorded latency");
     assert_eq!(latency.count(), 4);
-    let depth = service.queue_depth_sketch().expect("each submit sampled the queue");
-    assert_eq!(depth.count(), 4);
-    assert_eq!(depth.max(), Some(4), "the queue reached all four waiting requests");
 
     let digest = service.session_digest();
     assert_eq!(digest.requests, 4);
     assert!(digest.latency_ns_p50 > 0.0);
     assert!(digest.latency_ns_p50 <= digest.latency_ns_p95);
     assert!(digest.latency_ns_p95 <= digest.latency_ns_p99);
-    assert_eq!(digest.queue_depth_max, 4);
 
     // Determinism: an identical session produces the identical digest.
     let mut replay = SpmmService::new(config());
     let rh = replay.register_matrix(matrix(17), STRIPE).unwrap();
-    for b in &panels {
-        replay.submit(SpmmRequest::new(rh, Arc::clone(b))).unwrap();
-    }
-    replay.drain();
+    replay.execute_batch(rh, Algorithm::TwoFace, &panels).unwrap();
     assert_eq!(replay.session_digest(), digest);
 }
 
@@ -241,10 +228,9 @@ fn batched_bit_identity_holds_under_chaos() {
     batched_config.fault_plan = chaos;
     let mut batched = SpmmService::new(batched_config);
     let bh = batched.register_matrix(a, STRIPE).unwrap();
-    for b in &panels {
-        batched.submit(SpmmRequest::new(bh, Arc::clone(b))).unwrap();
-    }
-    for (response, solo_output) in batched.drain().iter().zip(&solo_outputs) {
+    let responses = batched.execute_batch(bh, Algorithm::TwoFace, &panels).unwrap();
+    assert_eq!(responses.len(), 3);
+    for (response, solo_output) in responses.iter().zip(&solo_outputs) {
         assert_eq!(
             response.output.as_ref().unwrap().as_slice(),
             solo_output.as_slice(),
@@ -260,15 +246,25 @@ fn requests_with_different_widths_do_not_fuse_and_budgets_split_batches() {
     let mut service = SpmmService::new(narrow_budget);
     let a = service.register_matrix(matrix(17), STRIPE).unwrap();
 
-    // Three K=8 requests under a 16-column budget: two fuse, one spills.
-    for i in 0..3 {
-        service.submit(SpmmRequest::new(a, dense(8, 60 + i))).unwrap();
-    }
+    // Three K=8 requests under a 16-column budget: two fuse, the third
+    // must run in a batch of its own.
+    let wide: Vec<_> = (0..3).map(|i| dense(8, 60 + i)).collect();
+    assert!(matches!(
+        service.execute_batch(a, Algorithm::TwoFace, &wide),
+        Err(ServeError::Shape { .. })
+    ));
     // A K=4 request never fuses with the K=8s (different width).
-    service.submit(SpmmRequest::new(a, dense(4, 70))).unwrap();
+    let mixed = [Arc::clone(&wide[0]), dense(4, 70)];
+    assert!(matches!(
+        service.execute_batch(a, Algorithm::TwoFace, &mixed),
+        Err(ServeError::Shape { .. })
+    ));
 
-    let responses = service.drain();
-    let sizes: Vec<usize> = responses.iter().map(|r| r.batch_size).collect();
+    let mut sizes = Vec::new();
+    for batch in [&wide[..2], &wide[2..], &[dense(4, 70)]] {
+        let responses = service.execute_batch(a, Algorithm::TwoFace, batch).unwrap();
+        sizes.extend(responses.iter().map(|r| r.batch_size));
+    }
     assert_eq!(sizes, vec![2, 2, 1, 1]);
     assert_eq!(service.metrics().counter("serve.batches"), 3);
     // Same matrix, same options, same K=8: the spilled batch reuses the
@@ -355,28 +351,51 @@ fn exhausted_retries_surface_typed_errors_when_fallback_is_off() {
     assert_eq!(service.metrics().counter("serve.requests_failed"), 1);
 }
 
+/// Malformed batches fed in from outside come back as typed errors — never
+/// a panic — before anything is numbered or executed.
 #[test]
-fn submit_validates_handles_and_shapes() {
-    let mut service = SpmmService::new(config());
+fn execute_batch_rejects_malformed_input_with_typed_errors() {
+    let mut narrow_budget = config();
+    narrow_budget.max_k_per_batch = 16;
+    let mut service = SpmmService::new(narrow_budget);
     let a = service.register_matrix(matrix(41), STRIPE).unwrap();
-
-    service
-        .submit(SpmmRequest { matrix: a, b: dense(8, 1), algorithm: Algorithm::TwoFace })
-        .expect("a valid request is accepted");
-
-    // Wrong B height.
     let short = Arc::new(DenseMatrix::from_fn(N / 2, 8, |_, _| 1.0));
-    match service.submit(SpmmRequest { matrix: a, b: short, algorithm: Algorithm::TwoFace }) {
-        Err(ServeError::Shape { context }) => assert!(context.contains("but B is"), "{context}"),
-        other => panic!("expected a shape error, got {other:?}"),
+    let empty = Arc::new(DenseMatrix::from_fn(N, 0, |_, _| 1.0));
+
+    let shape_errors: [(&str, Vec<Arc<DenseMatrix>>, &str); 5] = [
+        ("no panels", vec![], "at least one panel"),
+        ("mixed K", vec![dense(8, 1), dense(4, 2)], "cannot fuse"),
+        ("wrong B height", vec![short], "but B is"),
+        ("zero-width B", vec![empty], "but B is"),
+        ("over the K budget", vec![dense(8, 1), dense(8, 2), dense(8, 3)], "budget"),
+    ];
+    for (case, panels, needle) in &shape_errors {
+        match service.execute_batch(a, Algorithm::TwoFace, panels) {
+            Err(ServeError::Shape { context }) => {
+                assert!(context.contains(needle), "{case}: {context}");
+            }
+            other => panic!("{case}: expected a shape error, got {other:?}"),
+        }
     }
 
     // Unknown handle: a handle from a different service.
     let mut fresh = SpmmService::new(config());
-    match fresh.submit(SpmmRequest { matrix: a, b: dense(8, 1), algorithm: Algorithm::TwoFace }) {
+    match fresh.execute_batch(a, Algorithm::TwoFace, &[dense(8, 1)]) {
         Err(ServeError::UnknownMatrix { handle }) => assert_eq!(handle, a.id()),
         other => panic!("expected an unknown-matrix error, got {other:?}"),
     }
+    for s in [&service, &fresh] {
+        assert_eq!(s.metrics().counter("serve.batches"), 0, "nothing executed");
+        assert!(s.timeline().iter().all(|e| e.phase == SessionPhase::Register));
+    }
+
+    // A single panel wider than the budget still runs, solo, and is the
+    // first panel the service numbers.
+    let solo = service.execute_batch(a, Algorithm::TwoFace, &[dense(32, 4)]).unwrap();
+    assert_eq!(solo.len(), 1);
+    assert_eq!((solo[0].request.id(), solo[0].batch_size), (0, 1));
+    assert!(solo[0].output.is_ok());
+    assert_eq!(service.metrics().counter("serve.batches"), 1);
 
     // Infeasible registration: more ranks than rows.
     let tiny = Arc::new(erdos_renyi(2, 2, 2, 1));
@@ -399,7 +418,6 @@ fn the_session_timeline_narrates_the_run_and_exports_jsonl() {
         SessionPhase::Prepare,
         SessionPhase::CacheHit,
         SessionPhase::Execute,
-        SessionPhase::Reset,
     ] {
         assert!(phases.contains(&expected), "missing {expected:?} in {phases:?}");
     }
@@ -448,12 +466,8 @@ fn reset_session_drops_cached_plans_but_keeps_history() {
 fn non_plan_algorithms_batch_but_bypass_the_cache() {
     let mut service = SpmmService::new(config());
     let a = service.register_matrix(matrix(71), STRIPE).unwrap();
-    for i in 0..2 {
-        service
-            .submit(SpmmRequest { matrix: a, b: dense(8, 80 + i), algorithm: Algorithm::Allgather })
-            .unwrap();
-    }
-    let responses = service.drain();
+    let panels: Vec<_> = (0..2).map(|i| dense(8, 80 + i)).collect();
+    let responses = service.execute_batch(a, Algorithm::Allgather, &panels).unwrap();
     assert_eq!(responses.len(), 2);
     for r in &responses {
         assert_eq!(r.cache_hit, None, "no plan, no cache");
@@ -461,71 +475,4 @@ fn non_plan_algorithms_batch_but_bypass_the_cache() {
         assert!(r.output.is_ok());
     }
     assert_eq!(service.cache_stats().misses, 0);
-}
-
-/// Batch formation must not be sensitive to arrival interleaving: any
-/// permutation of the same request set produces the same number of
-/// executions, and outputs bitwise equal to solo runs.
-#[test]
-fn batch_formation_is_arrival_order_insensitive() {
-    let a1 = matrix(81);
-    let a2 = matrix(82);
-    // Three fusion keys: (a1, k=8) x3, (a2, k=8) x2, (a1, k=16) x2.
-    let specs: Vec<(usize, usize, u64)> =
-        vec![(0, 8, 90), (0, 8, 91), (0, 8, 92), (1, 8, 93), (1, 8, 94), (0, 16, 95), (0, 16, 96)];
-    let orders: Vec<Vec<usize>> = vec![
-        (0..specs.len()).collect(),
-        (0..specs.len()).rev().collect(),
-        vec![3, 0, 5, 1, 4, 6, 2], // fully interleaved across keys
-    ];
-
-    let tight = || {
-        let mut cfg = config();
-        cfg.max_k_per_batch = 32; // chunks: 4 at k=8, 2 at k=16
-        cfg
-    };
-
-    // Solo reference bits per spec.
-    let mut solo = SpmmService::new(tight());
-    let handles = [
-        solo.register_matrix(Arc::clone(&a1), STRIPE).unwrap(),
-        solo.register_matrix(Arc::clone(&a2), STRIPE).unwrap(),
-    ];
-    let reference: Vec<DenseMatrix> = specs
-        .iter()
-        .map(|&(m, k, seed)| {
-            solo.run_one(SpmmRequest::new(handles[m], dense(k, seed))).unwrap().output.unwrap()
-        })
-        .collect();
-
-    let mut batch_counts = Vec::new();
-    for order in &orders {
-        let mut service = SpmmService::new(tight());
-        let h = [
-            service.register_matrix(Arc::clone(&a1), STRIPE).unwrap(),
-            service.register_matrix(Arc::clone(&a2), STRIPE).unwrap(),
-        ];
-        let ids: Vec<_> = order
-            .iter()
-            .map(|&at| {
-                let (m, k, seed) = specs[at];
-                (at, service.submit(SpmmRequest::new(h[m], dense(k, seed))).unwrap())
-            })
-            .collect();
-        let responses = service.drain();
-        assert_eq!(responses.len(), specs.len());
-        for (at, id) in ids {
-            let response = responses.iter().find(|r| r.request == id).unwrap();
-            assert_eq!(
-                response.output.as_ref().unwrap().as_slice(),
-                reference[at].as_slice(),
-                "order {order:?}, spec {at}: batched output must match solo bitwise"
-            );
-        }
-        batch_counts.push(service.metrics().counter("serve.batches"));
-    }
-    assert!(
-        batch_counts.windows(2).all(|w| w[0] == w[1]),
-        "key-grouped formation fuses identically under every arrival order: {batch_counts:?}"
-    );
 }
